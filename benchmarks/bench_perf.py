@@ -4,7 +4,7 @@ Not a paper experiment -- this archives the library's own measured
 performance so regressions are visible commit to commit.  Records flow
 through the ``perf_record`` fixture into ``BENCH_perf.json`` at the
 repository root (schema ``repro-bench-perf/1``): execution backends at full
-size (interpreter vs compiled vs parallel DOALL and wavefront), cold-vs-hot
+size (interpreter vs compiled vs numpy vs parallel), cold-vs-hot
 fusion memoization, the persistent store's cold/warm compile latency
 (gallery-twice acceptance row included), and the SLF worklist against the
 round-based Bellman-Ford reference.
@@ -149,8 +149,8 @@ def test_perf_doall_backends(report, perf_record):
     report.text(render_records_text(doc))
     interp = next(r for r in records if r.backend == "interp")
     for r in records:
-        if r.jobs == 4 and r.backend.startswith("parallel"):
-            # the headline acceptance bar: parallel DOALL at jobs=4 beats the
+        if r.jobs == 4 and r.backend == "parallel":
+            # the headline acceptance bar: parallel at jobs=4 beats the
             # serial interpreter by >= 2x (bit-identity is verified by
             # bench_backends before timing)
             assert interp.median_s / r.median_s >= 2.0
@@ -159,7 +159,7 @@ def test_perf_doall_backends(report, perf_record):
 
 @pytest.mark.perf
 def test_perf_wavefront_backend(report, perf_record):
-    """Hyperplane example (anisotropic-sweep) with the tiled wavefront."""
+    """Hyperplane example (anisotropic-sweep): numpy wavefront stages."""
     records = bench_backends(
         "anisotropic-sweep",
         n=96,

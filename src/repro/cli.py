@@ -50,6 +50,7 @@ builds).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional, Tuple
 
@@ -441,10 +442,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "(default interp,compiled,numpy,parallel)",
     )
     p_bench.add_argument(
-        "--pool", choices=["thread", "process"], default="thread",
-        help="parallel-backend pool kind (default thread)",
-    )
-    p_bench.add_argument(
         "--repeats", type=int, default=3, metavar="N",
         help="timed runs per configuration (default 3)",
     )
@@ -758,7 +755,8 @@ def _execute_backend(out, args: argparse.Namespace) -> dict:
 
     reference = run_fused(fp, n, m, store=base.copy(), mode="serial")
     got = base.copy()
-    if args.backend == "auto":
+    backend, jobs, plan = args.backend, args.jobs, None
+    if backend == "auto":
         from repro.plan import Planner
 
         planner = Planner()
@@ -766,47 +764,29 @@ def _execute_backend(out, args: argparse.Namespace) -> dict:
             fp, n, m, schedule=schedule, is_doall=is_doall,
             requested="auto", jobs=args.jobs,
         )
+        backend, jobs = plan.backend, plan.jobs
         record["resolved"] = plan.backend
-        record["jobs"] = plan.jobs
         record["plan"] = plan.to_dict()
-        if plan.backend in ("compiled", "numpy"):
-            # compile outside the timed region, as for the static backends
-            execute_fused(plan.backend, fp, 1, 1,
-                          store=ArrayStore.for_program(out.nest, 1, 1, seed=0),
-                          schedule=schedule, is_doall=is_doall)
-        t0 = _time.perf_counter()
-        execute_fused(plan.backend, fp, n, m, store=got,
-                      schedule=schedule, is_doall=is_doall,
-                      jobs=plan.jobs, tile=plan.tile)
-        elapsed = _time.perf_counter() - t0
-        record["seconds"] = round(elapsed, 6)
-        planner.record(plan, elapsed)
-    elif args.backend in ("compiled", "numpy"):
+    elif backend == "parallel" and jobs is None:
+        jobs = os.cpu_count() or 1
+    if backend == "parallel" or plan is not None:
+        record["jobs"] = jobs
+    if backend != "interp":
         # compile outside the timed region: the kernel is what recurs
-        execute_fused(args.backend, fp, 1, 1,
+        execute_fused(backend, fp, 1, 1,
                       store=ArrayStore.for_program(out.nest, 1, 1, seed=0),
-                      schedule=schedule, is_doall=is_doall)
-        t0 = _time.perf_counter()
-        execute_fused(args.backend, fp, n, m, store=got,
-                      schedule=schedule, is_doall=is_doall)
-        record["seconds"] = round(_time.perf_counter() - t0, 6)
-        if args.backend == "numpy":
-            from repro.codegen.nplower import compile_numpy
+                      schedule=schedule, is_doall=is_doall, jobs=jobs)
+    t0 = _time.perf_counter()
+    execute_fused(backend, fp, n, m, store=got,
+                  schedule=schedule, is_doall=is_doall, jobs=jobs)
+    elapsed = _time.perf_counter() - t0
+    record["seconds"] = round(elapsed, 6)
+    if plan is not None:
+        planner.record(plan, elapsed)
+    elif backend == "numpy":
+        from repro.codegen.nplower import compile_numpy
 
-            record["plan"] = compile_numpy(fp, schedule=schedule).plan
-    else:  # parallel
-        from repro.perf.parallel import ParallelExecutor
-
-        with ParallelExecutor(args.jobs) as ex:
-            t0 = _time.perf_counter()
-            ex.run(
-                fp, n, m, store=got,
-                mode="doall" if is_doall else "hyperplane",
-                schedule=None if is_doall else schedule,
-            )
-            record["seconds"] = round(_time.perf_counter() - t0, 6)
-        record["jobs"] = ex.jobs
-        record["mode"] = "doall" if is_doall else "hyperplane"
+        record["plan"] = compile_numpy(fp, schedule=schedule).plan
     if not reference.equal(got):  # pragma: no cover - correctness guard
         raise FusionError(
             f"{args.backend} backend diverged from the interpreter at {n}x{m}"
@@ -904,7 +884,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_batch(args: argparse.Namespace) -> int:
     import json as _json
-    import os
 
     from repro.core.session import Session, SessionOptions
     from repro.resilience.budget import Budget
@@ -1039,7 +1018,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             sizes=sizes,
             jobs=jobs,
             backends=backends,
-            pool=args.pool,
             repeats=args.repeats,
             include_cache=not args.no_cache_bench,
             include_solver=not args.no_solver_bench,
@@ -1126,7 +1104,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 def _cmd_cache(args: argparse.Namespace) -> int:
     import json as _json
-    import os
 
     from repro.store import open_store
 
@@ -1228,9 +1205,10 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
 def _dispatch(args: argparse.Namespace) -> int:
     # --store makes the persistent cache ambient for the invocation (and,
-    # via REPRO_FUSE_STORE, for any worker process it spawns); serve and
-    # loadgen additionally thread it through their explicit configs, and
-    # `cache` addresses the file directly
+    # via REPRO_FUSE_STORE, for any worker process it spawns) and is
+    # restored afterwards; serve and loadgen additionally thread it through
+    # their explicit configs, and `cache` addresses the file directly
+    prior_store = os.environ.get("REPRO_FUSE_STORE")
     if getattr(args, "store", None) and args.command != "cache":
         from repro.store import set_default_store_path
 
@@ -1271,6 +1249,11 @@ def _dispatch(args: argparse.Namespace) -> int:
     except (ParseError, ValidationError, FusionError, _BudgetExceededError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ExitCode.FAILURE
+    finally:
+        if prior_store is None:
+            os.environ.pop("REPRO_FUSE_STORE", None)
+        else:
+            os.environ["REPRO_FUSE_STORE"] = prior_store
     return ExitCode.USAGE
 
 

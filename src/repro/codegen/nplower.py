@@ -25,7 +25,9 @@ stage lowers to the strongest form its internal dependences admit:
   numpy expression over the full original iteration rectangle.  Operating
   in *original* coordinates makes boundary peeling unnecessary: the
   retimed prologue/epilogue rows are exactly the rows where other nodes
-  are out of bounds, and those belong to other stages.
+  are out of bounds, and those belong to other stages.  Its rows are
+  independent, so the expression is emitted as a row-band body that a
+  band runner may split -- the ``parallel`` backend's chunked DOALL axis.
 * **slab** -- a recurrence SCC whose cross-row slack allows it becomes a
   blocked row sweep: per step, every member statement executes ``U``
   whole rows as one 2-D slice operation.  A statement-level *skew*
@@ -52,7 +54,7 @@ Generated kernels share the pycompile source-keyed cache.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import networkx as nx
 
@@ -79,6 +81,7 @@ __all__ = [
     "LoweringPlan",
     "plan_lowering",
     "compile_numpy",
+    "run_inline",
 ]
 
 
@@ -313,16 +316,6 @@ def plan_lowering(
 # ------------------------------------------------------------------ #
 
 
-def _box_ref(ref: ArrayRef, origins: Dict[str, tuple]) -> str:
-    """A 2-D slice covering the full original rectangle for ``ref``."""
-    o0, o1 = origins[ref.array]
-    c0, c1 = ref.offset[0] - o0, ref.offset[1] - o1
-    return (
-        f"{_var(ref.array)}[{c0}:{_off('n', c0 + 1)}, "
-        f"{c1}:{_off('m', c1 + 1)}]"
-    )
-
-
 def _slab_ref(ref: ArrayRef, origins: Dict[str, tuple]) -> str:
     """A 2-D slice over original rows ``[_a, _b]`` and the full row."""
     o0, o1 = origins[ref.array]
@@ -364,8 +357,17 @@ def _assign(em: _Emitter, stmt: Assignment, ref_fn) -> None:
 def _emit_whole_array(
     em: _Emitter, fs: FlatStatement, origins: Dict[str, tuple]
 ) -> None:
+    """A row-band body over original rows ``[_a, _b]``, run by ``bands``.
+
+    The stage has no self-dependence, so its rows are independent: the
+    band runner may execute ``[0, n]`` as one band or split it.
+    """
     em.emit(f"# stage: whole-array {fs.label}/{fs.stmt.target.array}")
-    _assign(em, fs.stmt, lambda r: _box_ref(r, origins))
+    em.emit(f"def _band{fs.index}(_a, _b):")
+    em.indent += 1
+    _assign(em, fs.stmt, lambda r: _slab_ref(r, origins))
+    em.indent -= 1
+    em.emit(f"bands(_band{fs.index}, n)")
 
 
 def _emit_slab(
@@ -491,17 +493,25 @@ def _emit_scalar(
 # ------------------------------------------------------------------ #
 
 
+def run_inline(fn: Callable[[int, int], None], n: int) -> None:
+    """The default band runner: one band over every row."""
+    fn(0, n)
+
+
 def compile_numpy(
     fp: FusedProgram, *, schedule: Optional[IVec] = None
 ) -> CompiledKernel:
     """Compile a fused program to a staged whole-array numpy kernel.
 
-    Returns a cached ``kernel(store, n, m)`` callable (the pycompile
-    source-keyed cache; identical source means identical behaviour).  The
-    kernel carries ``.source`` and ``.plan`` (the
-    :meth:`LoweringPlan.summary` dict) for inspection.  The result is
-    bit-identical to the serial interpreter for every legal fusion -- see
-    the module docstring for why, and the test suite for proof.
+    Returns a cached ``kernel(store, n, m, bands=run_inline)`` callable
+    (the pycompile source-keyed cache; identical source means identical
+    behaviour).  ``bands(fn, n)`` runs each whole-array stage's row-band
+    body ``fn(a, b)`` over rows ``[0, n]``, as one band or split; slab,
+    wavefront and scalar stages always run inline.  The kernel carries
+    ``.source`` and ``.plan`` (the :meth:`LoweringPlan.summary` dict) for
+    inspection.  The result is bit-identical to the serial interpreter for
+    every legal fusion -- see the module docstring for why, and the test
+    suite for proof.
     """
     reg = obs.default_registry()
     with obs.trace_span("codegen.lower_numpy"):
@@ -512,8 +522,9 @@ def compile_numpy(
         em = _Emitter()
         em.emit("import numpy as _np")
         em.emit("from repro import obs as _obs")
+        em.emit("from repro.codegen.nplower import run_inline as _run_inline")
         em.emit("")
-        em.emit("def kernel(store, n, m):")
+        em.emit("def kernel(store, n, m, bands=_run_inline):")
         em.indent += 1
         em.emit('_obs.counter("exec.numpy.runs").inc()')
         _bind_arrays(em, fp.original.all_arrays())

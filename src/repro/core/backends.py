@@ -13,8 +13,9 @@ them one name table and one calling convention so every selection site --
              (:func:`repro.codegen.pycompile.compile_fused`)
 ``numpy``    staged whole-array lowering
              (:func:`repro.codegen.nplower.compile_numpy`)
-``parallel`` chunked thread/process execution
-             (:class:`repro.perf.parallel.ParallelExecutor`)
+``parallel`` the ``numpy`` kernel with each whole-array stage's rows
+             split into ``jobs`` bands on a thread pool
+             (:func:`_run_banded`; numpy releases the GIL)
 ========== =========================================================
 
 Every runner takes the same arguments and mutates/returns the given
@@ -24,6 +25,8 @@ Every runner takes the same arguments and mutates/returns the given
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
@@ -41,7 +44,7 @@ __all__ = [
 ]
 
 #: Runner signature:
-#: ``(fp, n, m, store, schedule, is_doall, jobs, tile) -> store``.
+#: ``(fp, n, m, store, schedule, is_doall, jobs) -> store``.
 Runner = Callable[..., "ArrayStore"]
 
 
@@ -88,13 +91,12 @@ def execute_fused(
     schedule: Optional["IVec"] = None,
     is_doall: bool = True,
     jobs: Optional[int] = None,
-    tile: Optional[int] = None,
 ) -> "ArrayStore":
     """Run ``fp`` over ``store`` (mutated in place) with the named backend.
 
     ``schedule``/``is_doall`` come from the fusion result (the hyperplane
-    vector when the fusion is not DOALL); ``jobs``/``tile`` only matter to
-    the ``parallel`` backend.  ``name="auto"`` resolves through the
+    vector when the fusion is not DOALL); ``jobs`` only matters to the
+    ``parallel`` backend.  ``name="auto"`` resolves through the
     execution planner (:mod:`repro.plan`): profile rows for this program
     and size when warm, the static cost model when cold.  Whatever is
     chosen is bit-identical to ``interp`` -- the planner picks *how* to
@@ -106,8 +108,8 @@ def execute_fused(
         plan = default_planner().plan_execution(
             fp, n, m, schedule=schedule, is_doall=is_doall, jobs=jobs,
         )
-        name, jobs, tile = plan.backend, plan.jobs, plan.tile
-    return get(name).runner(fp, n, m, store, schedule, is_doall, jobs, tile)
+        name, jobs = plan.backend, plan.jobs
+    return get(name).runner(fp, n, m, store, schedule, is_doall, jobs)
 
 
 # ------------------------------------------------------------------ #
@@ -123,7 +125,6 @@ def _run_interp(
     schedule: Optional[IVec],
     is_doall: bool,
     jobs: Optional[int],
-    tile: Optional[int] = None,
 ) -> ArrayStore:
     from repro.codegen.interp import run_fused
 
@@ -138,7 +139,6 @@ def _run_compiled(
     schedule: Optional[IVec],
     is_doall: bool,
     jobs: Optional[int],
-    tile: Optional[int] = None,
 ) -> ArrayStore:
     from repro.codegen.pycompile import compile_fused
 
@@ -154,7 +154,6 @@ def _run_numpy(
     schedule: Optional[IVec],
     is_doall: bool,
     jobs: Optional[int],
-    tile: Optional[int] = None,
 ) -> ArrayStore:
     from repro.codegen.nplower import compile_numpy
 
@@ -162,7 +161,41 @@ def _run_numpy(
     return store
 
 
-def _run_parallel(
+class _Bands:
+    """Band runner splitting rows ``[0, n]`` into up to ``jobs`` bands.
+
+    The thread pool starts on the first split, so a kernel without a
+    whole-array stage (or a one-row space, or ``jobs=1``) runs exactly
+    the ``numpy`` kernel.  The calling thread runs the first band.
+    """
+
+    def __init__(self, jobs: int) -> None:
+        self.jobs = jobs
+        self.count = 0
+        self._pool: Optional[ThreadPoolExecutor] = None
+
+    def __call__(self, fn: Callable[[int, int], None], n: int) -> None:
+        parts = max(1, min(self.jobs, n + 1))
+        self.count += parts
+        if parts == 1:
+            fn(0, n)
+            return
+        if self._pool is None:
+            self._pool = ThreadPoolExecutor(parts - 1, thread_name_prefix="repro-band")
+        edges = [k * (n + 1) // parts for k in range(parts + 1)]
+        futures = [
+            self._pool.submit(fn, lo, hi - 1) for lo, hi in zip(edges[1:], edges[2:])
+        ]
+        fn(0, edges[1] - 1)
+        for f in futures:  # barrier: the next stage may read any row
+            f.result()
+
+    def close(self) -> None:
+        if self._pool is not None:
+            self._pool.shutdown(wait=True)
+
+
+def _run_banded(
     fp: FusedProgram,
     n: int,
     m: int,
@@ -170,16 +203,23 @@ def _run_parallel(
     schedule: Optional[IVec],
     is_doall: bool,
     jobs: Optional[int],
-    tile: Optional[int] = None,
 ) -> ArrayStore:
-    from repro.perf.parallel import ParallelExecutor
+    from repro import obs
+    from repro.codegen.nplower import compile_numpy
 
-    mode = "doall" if is_doall else "hyperplane"
-    with ParallelExecutor(jobs, **({} if tile is None else {"tile": tile})) as ex:
-        return ex.run(
-            fp, n, m, store=store, mode=mode,
-            schedule=None if is_doall else schedule,
-        )
+    workers = jobs if jobs is not None else (os.cpu_count() or 1)
+    if workers < 1:
+        raise ValueError("jobs must be >= 1")
+    kernel = compile_numpy(fp, schedule=schedule)
+    bands = _Bands(workers)
+    obs.counter("exec.parallel.runs").inc()
+    with obs.trace_span("exec.parallel.run", jobs=workers) as sp:
+        try:
+            kernel(store, n, m, bands)
+        finally:
+            bands.close()
+        sp.set(bands=bands.count)
+    return store
 
 
 register(ExecutionBackend(
@@ -192,5 +232,5 @@ register(ExecutionBackend(
     "numpy", "staged whole-array numpy lowering", _run_numpy,
 ))
 register(ExecutionBackend(
-    "parallel", "chunked thread/process pool execution", _run_parallel,
+    "parallel", "numpy lowering, whole-array rows split over threads", _run_banded,
 ))

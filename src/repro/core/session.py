@@ -449,13 +449,14 @@ class Session:
 
         Every execution is resolved by the planner (:mod:`repro.plan`)
         under the precedence *explicit > session > profile > model*: an
-        explicit ``backend`` argument wins, else the session's configured
-        backend, and ``"auto"`` lets the planner pick from profile rows
-        or the cost model.  Dispatch happens under this session's
-        activation (backend kernels hit the session's kernel cache and
-        metrics registry), and the observed wall time is fed back into
-        the profile tier -- gated exactly like the memo caches, so probe
-        budgets, fault injection and ``REPRO_FUSE_MEMO=0`` record nothing.
+        explicit ``backend`` argument wins (``"auto"`` included), else the
+        session's configured backend, and ``"auto"`` lets the planner pick
+        from profile rows or the cost model.  Dispatch happens under this
+        session's activation (backend kernels hit the session's kernel
+        cache and metrics registry), and the observed wall time is fed
+        back into the profile tier -- gated exactly like the memo caches,
+        so probe budgets, fault injection and ``REPRO_FUSE_MEMO=0`` record
+        nothing.
         """
         import time as _time
 
@@ -472,7 +473,7 @@ class Session:
             result = _execute(
                 plan.backend, fp, n, m,
                 store=store, schedule=schedule, is_doall=is_doall,
-                jobs=plan.jobs, tile=plan.tile,
+                jobs=plan.jobs,
             )
             self.planner.record(
                 plan, _time.perf_counter() - t0, budget=self.effective_budget

@@ -1,10 +1,11 @@
 """The performance-trajectory harness.
 
 Times the execution backends (tree-walking interpreter, compiled
-numpy kernels, parallel DOALL/wavefront), the fusion memo cache, and the
-constraint solvers on gallery workloads, and renders the measurements as
-machine-readable records -- the same shape ``BENCH_perf.json`` archives and
-``repro-fuse bench --format json`` prints.
+per-row kernels, the staged numpy lowering and its row-banded parallel
+runner), the fusion memo cache, and the constraint solvers on gallery
+workloads, and renders the measurements as machine-readable records --
+the same shape ``BENCH_perf.json`` archives and ``repro-fuse bench
+--format json`` prints.
 
 Every record carries the benchmark name, backend, iteration-space size,
 median wall-clock seconds over ``repeats`` runs with a spread estimate
@@ -153,7 +154,6 @@ def bench_backends(
     m: int = 256,
     jobs: Sequence[int] = (1, 2, 4),
     backends: Sequence[str] = ("interp", "compiled", "parallel"),
-    pool: str = "thread",
     repeats: int = 3,
     verify: bool = True,
 ) -> List[BenchRecord]:
@@ -168,26 +168,25 @@ def bench_backends(
     operation count is size-determined, not value-determined, so reusing
     the mutated store is fair), and the input-copy cost every end-to-end
     caller also pays is reported once as a separate ``store-copy`` record.
-    Kernel-compiling backends report the kernel-cache hits/misses their
-    own phase produced (``kernelCache``), so a warm cache is visible per
-    backend instead of as one smeared global ratio.
+    The ``parallel`` rows (one per job count) go through the registry
+    runner, so they also pay its per-call numpy kernel lookup and band
+    pool start.  Kernel-compiling backends report the kernel-cache
+    hits/misses their own phase produced (``kernelCache``), so a warm
+    cache is visible per backend instead of as one smeared global ratio.
     """
     from repro.codegen import ArrayStore, apply_fusion, run_fused
     from repro.codegen.nplower import compile_numpy
     from repro.codegen.pycompile import compile_fused, kernel_cache_info
+    from repro.core.backends import execute_fused
     from repro.depend import extract_mldg
     from repro.fusion import fuse
     from repro.loopir import parse_program
-    from repro.perf.parallel import ParallelExecutor
 
     nest = parse_program(_example_source(example))
     g = extract_mldg(nest)
     result = fuse(g)
     fp = apply_fusion(nest, result.retiming, mldg=g)
     base = ArrayStore.for_program(nest, n, m, seed=0)
-    is_doall = result.is_doall
-    mode = "doall" if is_doall else "hyperplane"
-    schedule = None if is_doall else result.schedule
 
     reference = run_fused(fp, n, m, store=base.copy(), mode="serial")
     records: List[BenchRecord] = []
@@ -270,26 +269,26 @@ def bench_backends(
 
     if "parallel" in backends:
         for j in jobs:
-            with ParallelExecutor(j, pool=pool) as ex:
-                if verify:
-                    got = ex.run(fp, n, m, store=base.copy(), mode=mode, schedule=schedule)
-                    if not reference.equal(got):  # pragma: no cover - correctness guard
-                        raise AssertionError(
-                            f"parallel backend (jobs={j}) diverged from the interpreter"
-                        )
-                work = base.copy()
-                median, err = time_callable(
-                    lambda: ex.run(
-                        fp, n, m, store=work, mode=mode, schedule=schedule
-                    ),
-                    repeats=repeats,
+
+            def banded(store: Any, j: int = j) -> Any:
+                return execute_fused(
+                    "parallel", fp, n, m, store=store,
+                    schedule=result.schedule, is_doall=result.is_doall, jobs=j,
                 )
+
+            if verify:
+                got = banded(base.copy())
+                if not reference.equal(got):  # pragma: no cover - correctness guard
+                    raise AssertionError(
+                        f"parallel backend (jobs={j}) diverged from the interpreter"
+                    )
+            work = base.copy()
+            median, err = time_callable(lambda: banded(work), repeats=repeats)
             records.append(
                 BenchRecord(
-                    name=f"{example}-fused", backend=f"parallel-{pool}",
+                    name=f"{example}-fused", backend="parallel",
                     median_s=median, err_s=err, repeats=repeats, n=n, m=m, jobs=j,
                     speedup_vs_interp=(interp_median / median) if interp_median else None,
-                    extra={"mode": mode},
                 )
             )
     return records
@@ -320,7 +319,6 @@ def bench_backend_sweep(
     sizes: Sequence[Tuple[int, int]],
     jobs: Sequence[int] = (1, 2, 4),
     backends: Sequence[str] = ("interp", "compiled", "numpy"),
-    pool: str = "thread",
     repeats: int = 3,
     verify: bool = True,
 ) -> List[BenchRecord]:
@@ -334,7 +332,7 @@ def bench_backend_sweep(
     for n, m in sizes:
         records += bench_backends(
             example, n=n, m=m, jobs=jobs, backends=backends,
-            pool=pool, repeats=repeats, verify=verify,
+            repeats=repeats, verify=verify,
         )
     return records
 
@@ -779,7 +777,6 @@ def run_bench_suite(
     sizes: Optional[Sequence[Tuple[int, int]]] = None,
     jobs: Sequence[int] = (1, 2, 4),
     backends: Sequence[str] = ("interp", "compiled", "parallel"),
-    pool: str = "thread",
     repeats: int = 3,
     include_cache: bool = True,
     include_solver: bool = True,
@@ -793,7 +790,7 @@ def run_bench_suite(
     """
     records = bench_backend_sweep(
         example, sizes=sizes if sizes is not None else [(n, m)],
-        jobs=jobs, backends=backends, pool=pool, repeats=repeats,
+        jobs=jobs, backends=backends, repeats=repeats,
     )
     if include_cache:
         records += bench_fusion_cache(example)
@@ -844,7 +841,7 @@ def records_to_json(records: Sequence[BenchRecord]) -> Dict[str, Any]:
         },
         # additive since repro.obs: solver/cache/execution counters observed
         # while the benchmarked code ran (relaxation rounds, worklist pops,
-        # chunk counts, ...); readers of repro-bench-perf/1 may ignore it
+        # kernel-cache hits, ...); readers of repro-bench-perf/1 may ignore it
         "metrics": obs.default_registry().to_dict(),
         "benchmarks": [r.to_dict() for r in records],
     }

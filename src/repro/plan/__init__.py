@@ -1,7 +1,7 @@
 """repro.plan -- the cost-model-driven execution planner.
 
 One planning layer for every decision about *how* a fused program runs
-(backend, worker count, tile size): a static cost model over problem
+(backend and worker count): a static cost model over problem
 shape plus store-persisted online profiles, resolved under the
 precedence **explicit > session > profile > model**.  See
 docs/PLANNING.md.
@@ -9,10 +9,8 @@ docs/PLANNING.md.
 
 from repro.plan.model import (
     DEFAULT_BATCH_JOBS,
-    DEFAULT_TILE,
     CostEstimate,
     ShapeInfo,
-    choose_tile,
     estimate_costs,
     job_candidates,
     shape_info,
@@ -32,14 +30,12 @@ from repro.plan.profile import (
 
 __all__ = [
     "DEFAULT_BATCH_JOBS",
-    "DEFAULT_TILE",
     "CostEstimate",
     "ExecutionPlan",
     "MemoryProfiles",
     "Planner",
     "ProfileRow",
     "ShapeInfo",
-    "choose_tile",
     "default_planner",
     "estimate_costs",
     "job_candidates",

@@ -1,20 +1,18 @@
 """The static cost model: problem shape -> estimated backend cost.
 
 Every knob the execution layer used to hard-code lives here as a named,
-documented constant: the default wavefront tile (formerly a literal in
-:class:`repro.perf.parallel.ParallelExecutor`), the default batch worker
-count (formerly ``SessionOptions.jobs = 4``) and the per-operation cost
-coefficients the planner uses to rank backends before any measurement
-exists.
+documented constant: the default batch worker count (formerly
+``SessionOptions.jobs = 4``) and the per-operation cost coefficients the
+planner uses to rank backends before any measurement exists.
 
 The coefficients are calibrated against BENCH_perf.json on the reference
 machine, but the model is deliberately coarse: its only job is to be
-*sane on a cold start* (never pick ``parallel jobs=2`` for a 24x24 space
-where pool submission overhead dominates; prefer whole-array numpy
-lowering when the staged plan is vector-heavy).  As soon as one observed
-timing exists for a ``(structural_hash, size bucket, fingerprint)`` key,
-the profile tier (:mod:`repro.plan.profile`) overrides the model
-entirely -- measurements beat estimates.
+*sane on a cold start* (never pick ``parallel jobs=2`` where band
+submission overhead dominates; prefer whole-array numpy lowering when the
+staged plan is vector-heavy).  As soon as one observed timing exists for
+a ``(structural_hash, size bucket, fingerprint)`` key, the profile tier
+(:mod:`repro.plan.profile`) overrides the model entirely -- measurements
+beat estimates.
 
 Nothing in this module reads the clock, the environment, or any mutable
 global: a :class:`ShapeInfo` maps to the same cost table on every call,
@@ -32,20 +30,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.vectors import IVec
 
 __all__ = [
-    "DEFAULT_TILE",
     "DEFAULT_BATCH_JOBS",
     "ShapeInfo",
     "shape_info",
     "CostEstimate",
     "estimate_costs",
     "job_candidates",
-    "choose_tile",
 ]
-
-#: Cells per wavefront tile for hyperplane execution.  Extracted from the
-#: old ``ParallelExecutor(tile=256)`` default; the planner may shrink it
-#: so one wavefront still feeds every worker (:func:`choose_tile`).
-DEFAULT_TILE = 256
 
 #: Worker-thread count for batch compilation when neither the call nor
 #: the session picked one (the old ``SessionOptions.jobs = 4`` default).
@@ -66,14 +57,12 @@ C_ELEM = 4.0e-9
 C_WHOLE = 8.0e-6
 #: Per-stage overhead of the staged lowering (stage setup + bounds).
 C_STAGE = 15.0e-6
-#: Submitting one task to a pool and joining its barrier.  This is what
-#: makes ``parallel jobs=2`` a loss at 24x24 (rows x jobs submissions)
-#: while winning nothing the thread pool could not already stream.
+#: Submitting one row band to a pool and joining its barrier: the
+#: ``parallel`` backend pays it per whole-array stage per job, on top of
+#: the ``numpy`` kernel it shares.
 C_SUBMIT = 30.0e-6
-#: Inline chunk dispatch (``jobs=1`` runs the same chunk code unpooled).
-C_CHUNK = 8.0e-6
 #: One-time kernel build/setup per backend invocation.
-SETUP = {"interp": 0.0, "compiled": 40.0e-6, "numpy": 60.0e-6, "parallel": 150.0e-6}
+SETUP = {"interp": 0.0, "compiled": 40.0e-6, "numpy": 60.0e-6}
 
 
 @dataclass(frozen=True)
@@ -194,21 +183,6 @@ def job_candidates(cpus: Optional[int] = None) -> Tuple[int, ...]:
     return tuple(sorted(cands))
 
 
-def choose_tile(shape: ShapeInfo, jobs: int) -> int:
-    """Cells per wavefront tile for hyperplane execution.
-
-    ``jobs=1`` keeps the cache-friendly default.  With real parallelism a
-    wavefront holds at most ``min(rows, cols)`` cells, so the tile shrinks
-    until every worker gets a tile per front (floored at 16 cells -- below
-    that, submission overhead exceeds the tile's work).
-    """
-    if jobs <= 1:
-        return DEFAULT_TILE
-    front = max(1, min(shape.rows, shape.cols))
-    per_worker = -(-front // jobs)  # ceil
-    return max(16, min(DEFAULT_TILE, per_worker))
-
-
 def _cost(shape: ShapeInfo, backend: str, jobs: int) -> float:
     if backend == "interp":
         return shape.instances * C_SCALAR
@@ -218,7 +192,7 @@ def _cost(shape: ShapeInfo, backend: str, jobs: int) -> float:
             + shape.rows * shape.statements * C_SLICE
             + shape.instances * C_ELEM
         )
-    if backend == "numpy":
+    if backend in ("numpy", "parallel"):
         vector = shape.whole_array + shape.slab + shape.wavefront
         slab_slices = (
             shape.slab * -(-shape.rows // max(1, shape.slab_u))
@@ -228,6 +202,7 @@ def _cost(shape: ShapeInfo, backend: str, jobs: int) -> float:
         wavefront_slices = (
             shape.wavefront * (shape.rows + shape.cols) if shape.wavefront else 0
         )
+        bands = shape.whole_array * jobs * C_SUBMIT if backend == "parallel" else 0.0
         return (
             SETUP["numpy"]
             + shape.stages * C_STAGE
@@ -235,20 +210,7 @@ def _cost(shape: ShapeInfo, backend: str, jobs: int) -> float:
             + (slab_slices + wavefront_slices) * C_SLICE
             + vector * shape.cells * C_ELEM
             + shape.scalar * shape.cells * C_SCALAR
-        )
-    if backend == "parallel":
-        if shape.is_doall:
-            tasks = shape.rows * jobs
-            dispatch = tasks * (C_SUBMIT if jobs > 1 else C_CHUNK)
-            slices = shape.rows * shape.statements * C_SLICE
-            stream = shape.instances * C_ELEM / max(1, jobs)
-            return SETUP["parallel"] + dispatch + slices + stream
-        # hyperplane execution is scalar per cell with a barrier per front
-        fronts = shape.rows + shape.cols
-        return (
-            SETUP["parallel"]
-            + shape.instances * C_SCALAR / (1.0 if jobs <= 1 else 1.5)
-            + fronts * jobs * C_SUBMIT
+            + bands
         )
     raise KeyError(f"cost model knows no backend {backend!r}")
 

@@ -1,20 +1,20 @@
 """The execution planner: one place that decides *how* a fused program runs.
 
 Before this module, "how" was scattered: ``SessionOptions`` hard-coded
-``jobs=4``, :class:`~repro.perf.parallel.ParallelExecutor` hard-coded
-``tile=256``, ``repro-fuse run`` resolved ``--backend`` itself, and serve
+``jobs=4``, ``repro-fuse run`` resolved ``--backend`` itself, and serve
 stamped ``ServeConfig.backend`` onto requests.  The :class:`Planner`
 unifies them behind one precedence rule:
 
     **explicit > session > profile > model**
 
-An explicit per-call (or per-request) backend always wins.  A session
-configured with a concrete backend wins next.  Only ``"auto"`` reaches
-the planner proper, which prefers *measured* timings -- profile rows for
-this ``(structural_hash, size bucket, env fingerprint)`` key, persisted
-in the L2 store's ``profiles`` table (:mod:`repro.plan.profile`) -- and
-falls back to the static cost model (:mod:`repro.plan.model`) on a cold
-key.
+An explicit per-call (or per-request) backend always wins -- an explicit
+``"auto"`` included, which reaches the planner even on a session pinned
+to a concrete backend.  A session configured with a concrete backend
+wins next.  Only ``"auto"`` reaches the planner proper, which prefers
+*measured* timings -- profile rows for this ``(structural_hash, size
+bucket, env fingerprint)`` key, persisted in the L2 store's ``profiles``
+table (:mod:`repro.plan.profile`) -- and falls back to the static cost
+model (:mod:`repro.plan.model`) on a cold key.
 
 Two invariants:
 
@@ -45,9 +45,8 @@ from repro import obs
 from repro.plan.model import (
     CostEstimate,
     ShapeInfo,
-    choose_tile,
+    _cost,
     estimate_costs,
-    job_candidates,
     shape_info,
 )
 from repro.plan.profile import ProfileRow, memory_profiles, size_bucket
@@ -65,11 +64,10 @@ PLAN_SOURCES = ("explicit", "session", "profile", "model")
 
 @dataclass(frozen=True)
 class ExecutionPlan:
-    """One resolved execution decision: backend, jobs, tile -- and why."""
+    """One resolved execution decision: backend and jobs -- and why."""
 
     backend: str
     jobs: int
-    tile: int
     source: str  # one of PLAN_SOURCES
     rationale: str
     skey: Optional[str] = None
@@ -82,7 +80,6 @@ class ExecutionPlan:
         return {
             "backend": self.backend,
             "jobs": self.jobs,
-            "tile": self.tile,
             "source": self.source,
             "rationale": self.rationale,
             "skey": self.skey,
@@ -160,11 +157,13 @@ class Planner:
     ) -> ExecutionPlan:
         """Resolve how to execute ``fp`` on an ``(n, m)`` space.
 
-        ``requested`` is the per-call/per-request backend (strongest),
-        ``session_backend`` the session default; either being ``"auto"``
-        (or absent) delegates to profile-then-model.  ``jobs`` constrains
-        the parallel backend's worker count when given.  Pure function of
-        its inputs plus the profile rows -- no clock reads.
+        ``requested`` is the per-call/per-request backend (strongest;
+        ``"auto"`` there delegates to profile-then-model whatever the
+        session says), ``session_backend`` the session default, used only
+        when nothing was requested (``"auto"`` or absent delegates too).
+        ``jobs`` constrains the parallel backend's worker count when
+        given.  Pure function of its inputs plus the profile rows -- no
+        clock reads.
         """
         from repro.core.backends import backend_names
 
@@ -183,7 +182,7 @@ class Planner:
                     requested, "explicit", "per-call backend wins over the planner",
                     shape, jobs, skey, bucket, fingerprint,
                 )
-            elif session_backend is not None and session_backend != "auto":
+            elif requested is None and session_backend not in (None, "auto"):
                 plan = self._fixed_plan(
                     session_backend, "session",
                     "session options pin the backend",
@@ -194,7 +193,6 @@ class Planner:
             sp.set(
                 backend=plan.backend,
                 jobs=plan.jobs,
-                tile=plan.tile,
                 source=plan.source,
                 estMs=(
                     round(plan.est_s * 1e3, 6) if plan.est_s is not None else None
@@ -220,16 +218,14 @@ class Planner:
     ) -> ExecutionPlan:
         """A plan whose backend was dictated above the planner.
 
-        Jobs and tile are still planned (the old hard-coded defaults moved
-        here): an explicit ``jobs`` wins, else the model's best worker
-        count for this backend and shape.
+        Jobs are still planned: an explicit ``jobs`` wins, else the
+        model's best worker count for this backend and shape.
         """
         chosen_jobs = jobs if jobs is not None else self._model_jobs(shape, backend)
         est = self._estimate(shape, backend, chosen_jobs)
         return ExecutionPlan(
             backend=backend,
             jobs=chosen_jobs,
-            tile=choose_tile(shape, chosen_jobs),
             source=source,
             rationale=rationale,
             skey=skey,
@@ -277,7 +273,6 @@ class Planner:
                 return ExecutionPlan(
                     backend=model_best.backend,
                     jobs=model_best.jobs,
-                    tile=choose_tile(shape, model_best.jobs),
                     source="model",
                     rationale=(
                         f"exploring unprofiled model favourite "
@@ -294,7 +289,6 @@ class Planner:
             return ExecutionPlan(
                 backend=best.backend,
                 jobs=best.jobs,
-                tile=choose_tile(shape, best.jobs),
                 source="profile",
                 rationale=(
                     f"measured fastest of {len(rows)} profiled config(s): "
@@ -310,7 +304,6 @@ class Planner:
         return ExecutionPlan(
             backend=model_best.backend,
             jobs=model_best.jobs,
-            tile=choose_tile(shape, model_best.jobs),
             source="model",
             rationale=(
                 f"cost model over {shape.cells} cells x {shape.statements} "
@@ -336,8 +329,6 @@ class Planner:
                 if c.backend != "parallel" or c.jobs == jobs
             ]
             if not any(c.backend == "parallel" for c in candidates):
-                from repro.plan.model import _cost
-
                 candidates.append(
                     CostEstimate("parallel", jobs, _cost(shape, "parallel", jobs))
                 )
@@ -358,8 +349,6 @@ class Planner:
         self, shape: ShapeInfo, backend: str, jobs: int
     ) -> Optional[float]:
         try:
-            from repro.plan.model import _cost
-
             return _cost(shape, backend, jobs)
         except KeyError:
             return None  # custom registered backend the model cannot price

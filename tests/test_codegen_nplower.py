@@ -1,10 +1,12 @@
 """The numpy whole-array lowering backend, verified bit-for-bit.
 
-Four independent implementations of fused-program semantics now guard
-each other: interp (ground truth), compiled (per-row), parallel
-(chunked) and numpy (staged whole-array).  These tests sweep
+Three independent implementations of fused-program semantics guard
+each other: interp (ground truth), compiled (per-row) and numpy (staged
+whole-array), which the parallel backend runs with its whole-array rows
+split into bands.  These tests sweep
 
-* the full runnable gallery x sizes x all four backends (identity),
+* the full runnable gallery x sizes x all four backends x job counts
+  (identity),
 * seeded random single-writer programs through the same sweep,
 * resilience-ladder rungs that reach execution,
 * hand-permuted fused bodies that force the slab classifier to give up
@@ -87,13 +89,17 @@ class TestGalleryIdentity:
                              ids=[w[0] for w in _WORKLOADS])
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_all_backends_agree(self, key, nest, fp, result, backend):
-        ref = _reference(nest, fp, N, M)
-        got = ArrayStore.for_program(nest, N, M, seed=11)
-        execute_fused(
-            backend, fp, N, M, store=got,
-            schedule=result.schedule, is_doall=result.is_doall, jobs=2,
-        )
-        assert ref.equal(got), f"{backend} diverged on {key}"
+        # 0x0 and 1x1 spaces have fewer rows than jobs: short and single
+        # bands for the parallel backend's row split
+        for n, m in ((N, M), (1, 1), (0, 0)):
+            ref = _reference(nest, fp, n, m)
+            for jobs in (1, 2, 3):
+                got = ArrayStore.for_program(nest, n, m, seed=11)
+                execute_fused(
+                    backend, fp, n, m, store=got,
+                    schedule=result.schedule, is_doall=result.is_doall, jobs=jobs,
+                )
+                assert ref.equal(got), f"{backend} jobs={jobs} diverged on {key} at {n}x{m}"
 
     def test_no_fallback_on_core_gallery(self):
         """Every gallery statement lowers to an array-op stage."""
@@ -412,6 +418,13 @@ class TestBackendRegistry:
     def test_unknown_backend_raises(self):
         with pytest.raises(KeyError, match="unknown execution backend"):
             get("fortran")
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_parallel_rejects_nonpositive_jobs(self, jobs):
+        key, nest, fp, result = _WORKLOADS[0]
+        store = ArrayStore.for_program(nest, N, M, seed=11)
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            execute_fused("parallel", fp, N, M, store=store, jobs=jobs)
 
     def test_session_execute_fused_uses_options_backend(self):
         key, nest, fp, result = _WORKLOADS[0]

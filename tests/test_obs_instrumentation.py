@@ -13,11 +13,11 @@ from repro import obs
 from repro.codegen.interp import ArrayStore
 from repro.codegen.pycompile import clear_kernel_cache, compile_fused
 from repro.constraints.bellman_ford import scalar_bellman_ford
+from repro.core.backends import execute_fused
 from repro.fusion.driver import fuse
 from repro.gallery.paper import figure2_code, figure2_mldg
 from repro.perf.bench import bench_solvers, records_to_json
 from repro.perf.memo import clear_all_caches
-from repro.perf.parallel import run_parallel
 from repro.pipeline import fuse_program
 from repro.resilience.budget import Budget, BudgetExceededError
 from repro.resilience.ladder import fuse_resilient
@@ -162,7 +162,7 @@ def _traced_parallel_run(jobs):
     with obs.tracing() as tracer:
         result = fuse_program(figure2_code())
         store = ArrayStore.for_program(result.fused.original, 12, 12, seed=3)
-        run_parallel(result.fused, 12, 12, store=store, jobs=jobs)
+        execute_fused("parallel", result.fused, 12, 12, store=store, jobs=jobs)
     return tracer, store
 
 
@@ -171,19 +171,18 @@ class TestTraceDeterminism:
         with obs.use_registry():
             t1, s1 = _traced_parallel_run(jobs=1)
             t4, s4 = _traced_parallel_run(jobs=4)
-        # detail spans (per-chunk) scale with the worker split; the
-        # canonical skeleton must not
+        # the row-band split scales with the worker count; the canonical
+        # skeleton must not
         assert obs.tree_shape(t1) == obs.tree_shape(t4)
         assert s1.equal(s4)
 
-    def test_detail_chunk_spans_exist(self):
-        with obs.use_registry():
+    def test_run_span_records_jobs_and_bands(self):
+        with obs.use_registry() as reg:
             tracer, _ = _traced_parallel_run(jobs=4)
-        chunks = [s for s in tracer.spans() if s.name == "exec.parallel.chunk"]
-        assert chunks and all(s.detail for s in chunks)
-        run_span = next(s for s in tracer.spans() if s.name == "exec.parallel.doall")
-        # pool workers have no ambient stack: parents are passed explicitly
-        assert all(s.parent_id == run_span.span_id for s in chunks)
+            assert reg.to_dict()["counters"]["exec.parallel.runs"] == 1
+        run_span = next(s for s in tracer.spans() if s.name == "exec.parallel.run")
+        # fig2 has one whole-array stage: its 13 rows split into 4 bands
+        assert run_span.attributes == {"jobs": 4, "bands": 4}
 
     def test_pipeline_spans_nest_under_fuse_program(self):
         with obs.use_registry():
@@ -202,7 +201,7 @@ class TestTraceDeterminism:
             clear_kernel_cache()
             result = fuse_program(figure2_code())
             plain = ArrayStore.for_program(result.fused.original, 12, 12, seed=3)
-            run_parallel(result.fused, 12, 12, store=plain, jobs=4)
+            execute_fused("parallel", result.fused, 12, 12, store=plain, jobs=4)
             _, traced = _traced_parallel_run(jobs=4)
         assert plain.equal(traced)
 

@@ -34,11 +34,9 @@ from repro.loopir import parse_program
 from repro.perf.memo import clear_all_caches, structural_hash
 from repro.plan import (
     DEFAULT_BATCH_JOBS,
-    DEFAULT_TILE,
     ExecutionPlan,
     MemoryProfiles,
     Planner,
-    choose_tile,
     estimate_costs,
     job_candidates,
     memory_profiles,
@@ -127,19 +125,6 @@ class TestCostModel:
         assert job_candidates(2) == (1, 2)
         assert job_candidates(3) == (1, 2)
         assert job_candidates(8) == (1, 2, 4)
-
-    def test_choose_tile(self, fig2):
-        _, fp, result = fig2
-        shape = shape_info(fp, 24, 24, schedule=result.schedule,
-                           is_doall=result.is_doall)
-        # serial keeps the extracted ParallelExecutor default
-        assert choose_tile(shape, 1) == DEFAULT_TILE
-        # with workers the tile shrinks so one front feeds all of them,
-        # floored where submission overhead would exceed the tile's work
-        assert choose_tile(shape, 4) == 16
-        big = shape_info(fp, 2000, 2000, schedule=result.schedule,
-                         is_doall=result.is_doall)
-        assert 16 <= choose_tile(big, 4) <= DEFAULT_TILE
 
     def test_small_space_never_models_parallel_fanout_as_best(self, fig2):
         # pool submission overhead must dominate at 24x24
@@ -267,6 +252,18 @@ class TestPlannerPrecedence:
         plan = _plan(fig2, requested="auto")
         assert plan.source in ("profile", "model")
 
+    def test_explicit_auto_beats_session_pin(self, fig2):
+        # a per-call "auto" is explicit too, as a serve request's is: it
+        # reaches the planner even on a session pinned to a backend
+        plan = _plan(fig2, requested="auto", session_backend="interp")
+        assert (plan.source, plan.backend) == ("model", _plan(fig2).backend)
+        nest, fp, result = fig2
+        Session(caches=SessionCaches.private()).execute_fused(  # backend="interp"
+            fp, 12, 12, store=ArrayStore.for_program(nest, 12, 12, seed=11),
+            backend="auto", schedule=result.schedule, is_doall=result.is_doall,
+        )
+        assert plan_snapshot()["recent"][-1]["source"] == "model"
+
     def test_cold_key_falls_back_to_model(self, fig2):
         plan = _plan(fig2)
         assert plan.source == "model"
@@ -277,13 +274,10 @@ class TestPlannerPrecedence:
     def test_explicit_jobs_respected(self, fig2):
         plan = _plan(fig2, requested="parallel", jobs=3)
         assert plan.jobs == 3
-        assert plan.tile == choose_tile(
-            shape_info(fig2[1], 256, 256, schedule=fig2[2].schedule,
-                       is_doall=fig2[2].is_doall), 3)
 
     def test_non_parallel_backend_plans_one_job(self, fig2):
         plan = _plan(fig2, requested="numpy")
-        assert plan.jobs == 1 and plan.tile == DEFAULT_TILE
+        assert plan.jobs == 1
 
 
 class TestPlannerProfileTier:
@@ -396,7 +390,7 @@ class TestPlannerObservability:
 
     def test_plan_to_dict_is_json_shaped(self, fig2):
         d = _plan(fig2).to_dict()
-        assert set(d) == {"backend", "jobs", "tile", "source", "rationale",
+        assert set(d) == {"backend", "jobs", "source", "rationale",
                           "skey", "bucket", "fingerprint", "estS"}
 
 
@@ -437,8 +431,8 @@ class TestRecordGate:
         assert _plan(fig2).source == "model"
 
     def test_keyless_plan_is_not_recorded(self, fig2):
-        plan = ExecutionPlan(backend="interp", jobs=1, tile=DEFAULT_TILE,
-                             source="model", rationale="x")
+        plan = ExecutionPlan(backend="interp", jobs=1, source="model",
+                             rationale="x")
         assert Planner().record(plan, 0.004) is False
 
 

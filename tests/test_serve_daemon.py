@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import http.client
 import json
+import time
 import urllib.error
 import urllib.request
 
@@ -59,6 +61,23 @@ class TestHttpStatusMapping:
 
 
 class TestEndpoints:
+    def test_keep_alive_responses_are_not_delayed(self, daemon):
+        # five round trips on one connection: Nagle plus the client's
+        # delayed ACK would add ~40 ms to each
+        host, port = daemon.address
+        conn = http.client.HTTPConnection(host, port, timeout=60)
+        try:
+            t0 = time.perf_counter()
+            for _ in range(5):
+                conn.request("GET", "/healthz")
+                resp = conn.getresponse()
+                assert resp.status == 200
+                json.loads(resp.read())
+            elapsed = time.perf_counter() - t0
+        finally:
+            conn.close()
+        assert elapsed < 0.100, f"5 keep-alive GETs took {elapsed * 1e3:.1f} ms"
+
     def test_healthz(self, daemon):
         status, doc = _get(daemon.url, "/healthz")
         assert status == 200
