@@ -73,8 +73,8 @@ def acyclic_parallel_retiming(
                 report.violations, diagnostics=diagnostics_from_legality(report)
             )
     if not is_acyclic(g):
-        cycle = next(iter(nx.simple_cycles(g.structure_digraph())), None)
-        raise NotAcyclicError(list(cycle) if cycle else None)
+        cycle = nx.find_cycle(g.structure_digraph())
+        raise NotAcyclicError([src for src, _ in cycle])
 
     solution = _acyclic_system(g).solve(budget=budget)
     # Algorithm 3's final step: zero every coordinate after the first (the

@@ -8,17 +8,19 @@ returns a verified :class:`FusionResult`:
 * any other legal MLDG -> Algorithm 5, DOALL hyperplane (Theorem 4.4).
 
 Every result is re-verified against the paper's invariants
-(:func:`repro.retiming.verify.verify_retiming`) before being returned --
-the algorithms are trusted, but the verification is cheap and turns any
-latent bug into a loud error.
+(:func:`repro.retiming.verify.verify_retiming`) before being returned.
+The check is exact and O(E * n): it certifies every retimed edge, which
+implies every cycle weight by telescoping, so no cycle is enumerated.
+The retiming is applied once per result, and the graph the check
+certified is the one stored as :attr:`FusionResult.retimed`.
 
 Successful outcomes are memoized by canonical MLDG structure
 (:mod:`repro.perf.memo`): a repeated -- or isomorphic-but-relabelled --
 query skips the constraint solvers and only re-runs the verification gate
-on the rehydrated retiming.  When an L2 disk store is configured
-(:mod:`repro.store`), misses fall through to it before compiling and
-successful compiles are written through, so warm results survive process
-boundaries; disk rows re-enter through exactly the same rehydrate +
+(one apply plus the O(E * n) certificate) on the rehydrated retiming.
+When an L2 disk store is configured (:mod:`repro.store`), misses fall
+through to it before compiling and successful compiles are written
+through, so warm results survive process boundaries; disk rows re-enter through exactly the same rehydrate +
 re-verify gate, and rows that fail it are evicted and recompiled.
 Limiting budgets and active fault injectors bypass *both* tiers through
 one shared predicate, so resource probes and chaos tests always measure
@@ -112,10 +114,7 @@ def _result(
     hyperplane: Optional[IVec],
     notes: Optional[List[str]] = None,
 ) -> FusionResult:
-    gr = r.apply(g)
-    # Cycle-weight preservation is a telescoping identity, so sampling a
-    # bounded number of cycles keeps verification O(small) on dense graphs.
-    verification = verify_retiming(g, r, cycle_limit=100)
+    verification = verify_retiming(g, r)
     if not verification.ok_for_legal_fusion:
         raise FusionError(
             f"internal error: {strategy.value} produced an invalid retiming: "
@@ -132,7 +131,7 @@ def _result(
         parallelism=parallelism,
         retiming=r,
         original=g,
-        retimed=gr,
+        retimed=verification.retimed,
         schedule=schedule,
         hyperplane=hyperplane,
         verification=verification,

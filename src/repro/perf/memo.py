@@ -29,7 +29,9 @@ The retiming cache's L2 path re-verifies every disk row with
 :func:`repro.retiming.verify.verify_retiming` before returning it --
 even though L1 callers re-run their own gates -- because disk rows cross
 process and version boundaries and must never propagate garbage into the
-ladder's search order.
+ladder's search order.  That gate is the exact O(E * n) per-edge
+certificate (no cycle enumeration), so a hit costs one retiming apply
+plus a linear scan of the retimed edges.
 """
 
 from __future__ import annotations
@@ -307,7 +309,7 @@ def _verified_store_retiming(
         {name: IVec(*shift) for name, shift in zip(g.nodes, shifts)}, dim=g.dim
     )
     try:
-        if not verify_retiming(g, r, cycle_limit=100).ok_for_legal_fusion:
+        if not verify_retiming(g, r).ok_for_legal_fusion:
             return None
     except Exception:
         return None

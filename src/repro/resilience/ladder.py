@@ -178,11 +178,11 @@ def _exec_ok(
     return True, None
 
 
-def _strictness_violation(g: MLDG, r: Retiming, s: IVec) -> Optional[str]:
-    """Check Lemma 4.3 strictness of ``s`` on the *true* retimed vectors."""
+def _strictness_violation(gr: MLDG, s: IVec) -> Optional[str]:
+    """Check Lemma 4.3 strictness of ``s`` on the *true* retimed graph ``gr``."""
     if all(c == 0 for c in s):
         return f"schedule {s} is the zero vector"
-    for d in sorted(set(r.apply(g).all_vectors())):
+    for d in sorted(set(gr.all_vectors())):
         if any(c != 0 for c in d) and s.dot(d) <= 0:
             return f"schedule {s} is not strict for retimed dependence vector {d}"
     return None
@@ -514,7 +514,7 @@ def _run_rung(
         notes.append("Algorithm 2 (LLOFRA, serial fused loop)")
 
     # gates: always against the TRUE graph ------------------------------ #
-    verification = verify_retiming(g, r, cycle_limit=100)
+    verification = verify_retiming(g, r)
     if rung is Rung.DOALL:
         if not verification.ok_for_parallel_fusion:
             raise RungRejected(
@@ -528,7 +528,7 @@ def _run_rung(
         )
     if rung is Rung.HYPERPLANE:
         assert schedule is not None
-        strictness = _strictness_violation(g, r, schedule)
+        strictness = _strictness_violation(verification.retimed, schedule)
         if strictness is not None:
             raise RungRejected(strictness)
 

@@ -1,12 +1,15 @@
 """Unit tests for legality predicates (Lemma 2.1, Theorem 3.1, Section 3.1)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.graph import (
     MLDG,
     VectorClass,
     check_legal,
     classify_vector,
+    cycle_weight,
+    enumerate_cycles,
     fusion_preventing_edges,
     is_deadlock_free,
     is_fusion_legal,
@@ -138,6 +141,29 @@ class TestLemma21:
     def test_fails_on_figure14(self):
         """Documented paper anomaly: cycle C->D->C has weight (0,1) < (1,-1)."""
         assert not lemma_2_1_holds(figure14_mldg())
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_brute_force_enumeration(self, data):
+        """Exact Floyd-Warshall decision == the bound over every simple cycle."""
+        n = data.draw(st.integers(min_value=1, max_value=7), label="nodes")
+        dim = data.draw(st.integers(min_value=1, max_value=3), label="dim")
+        names = [f"N{i}" for i in range(n)]
+        vec = st.tuples(
+            st.integers(min_value=-1, max_value=3),
+            *[st.integers(min_value=-3, max_value=3)] * (dim - 1),
+        )
+        pairs = st.tuples(st.sampled_from(names), st.sampled_from(names))
+        table = data.draw(
+            st.dictionaries(pairs, st.lists(vec, min_size=1, max_size=3), max_size=3 * n),
+            label="edges",
+        )
+        g = mldg_from_table(table, nodes=names, dim=dim)
+        bound = tuple([1] + [-1] * (dim - 1))
+        brute = all(
+            tuple(cycle_weight(g, c)) >= bound for c in enumerate_cycles(g, limit=None)
+        )
+        assert lemma_2_1_holds(g) == brute
 
     def test_explicit_cycle_weights_figure2(self):
         from repro.graph import cycle_weight

@@ -1,13 +1,15 @@
 """Unit tests for the Retiming object and its invariants."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.gallery import figure2_mldg
 from repro.gallery.paper import (
     figure2_expected_alg4_retiming,
     figure2_expected_llofra_retiming,
 )
-from repro.graph import mldg_from_table
+from repro.fusion import fuse, legal_fusion_retiming
+from repro.graph import cycle_weight, enumerate_cycles, mldg_from_table, random_legal_mldg
 from repro.retiming import (
     Retiming,
     cycle_weights_preserved,
@@ -107,7 +109,7 @@ class TestInvariants:
     def test_cycle_weights_invariant_for_paper_retimings(self):
         g = figure2_mldg()
         for r in (figure2_expected_llofra_retiming(), figure2_expected_alg4_retiming()):
-            assert cycle_weights_preserved(g, r)
+            assert cycle_weights_preserved(g, r, r.apply(g))
 
     def test_cycle_weights_section23(self):
         """delta_Lr(c1) = (3,-1) and delta_Lr(c2) = (2,1), unchanged."""
@@ -144,3 +146,71 @@ class TestInvariants:
         v = verify_retiming(g, bad)
         assert not v.fusion_legal
         assert any("delta" in p for p in v.problems)
+
+
+def _tail_and_cycle():
+    """A -> B feeds the cycle B -> C -> B; A -> B lies on no cycle."""
+    g = mldg_from_table(
+        {("A", "B"): [(0, 1), (1, 0)], ("B", "C"): [(0, 2)], ("C", "B"): [(1, -1)]},
+        nodes=["A", "B", "C"],
+    )
+    r = Retiming({"B": IVec(0, 1), "C": IVec(-1, 0)}, dim=2)
+    return g, r, r.apply(g)
+
+
+def _every_cycle_weight_equal(g, gr):
+    return all(
+        cycle_weight(g, c) == cycle_weight(gr, c) for c in enumerate_cycles(g, limit=None)
+    )
+
+
+class TestExactCertificate:
+    """``cycle_weights_preserved`` certifies the artifact's own edges."""
+
+    def test_accepts_the_applied_graph(self):
+        g, r, gr = _tail_and_cycle()
+        assert cycle_weights_preserved(g, r, gr)
+
+    def test_rejects_altered_vector_off_every_cycle(self):
+        g, r, gr = _tail_and_cycle()
+        bad = gr.copy()
+        v = min(bad.D("A", "B"))
+        bad.remove_dependence("A", "B", v)
+        bad.add_dependence("A", "B", v + IVec(0, 1))
+        # every cycle weight still matches: a cycle check cannot see this
+        assert _every_cycle_weight_equal(g, bad)
+        assert not cycle_weights_preserved(g, r, bad)
+
+    def test_rejects_dropped_edge(self):
+        g, r, gr = _tail_and_cycle()
+        bad = gr.copy()
+        bad.remove_edge("A", "B")
+        assert not cycle_weights_preserved(g, r, bad)
+
+    def test_rejects_extra_vector(self):
+        g, r, gr = _tail_and_cycle()
+        bad = gr.copy()
+        bad.add_dependence("B", "C", max(bad.D("B", "C")) + IVec(1, 0))
+        assert not cycle_weights_preserved(g, r, bad)
+
+    def test_rejects_reordered_nodes(self):
+        g, r, gr = _tail_and_cycle()
+        bad = r.apply(mldg_from_table(
+            {("A", "B"): [(0, 1), (1, 0)], ("B", "C"): [(0, 2)], ("C", "B"): [(1, -1)]},
+            nodes=["A", "C", "B"],
+        ))
+        assert bad != gr
+        assert not cycle_weights_preserved(g, r, bad)
+
+    def test_fuse_applies_the_retiming_once(self):
+        res = fuse(figure2_mldg())
+        assert res.retimed is res.verification.retimed
+
+    @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=1, max_value=8))
+    @settings(max_examples=60, deadline=None)
+    def test_agrees_with_full_cycle_enumeration(self, seed, n):
+        g = random_legal_mldg(n, seed=seed)
+        for r in (legal_fusion_retiming(g), fuse(g).retiming):
+            gr = r.apply(g)
+            assert cycle_weights_preserved(g, r, gr) == _every_cycle_weight_equal(g, gr)
+            assert cycle_weights_preserved(g, r, gr)
