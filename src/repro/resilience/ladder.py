@@ -62,7 +62,11 @@ from repro.resilience.report import (
 from repro.retiming import ROW_SCHEDULE, Retiming, hyperplane_for_schedule
 from repro.retiming.verify import verify_retiming
 from repro.vectors import IVec
-from repro.verify.dataflow import OrderViolation, verify_retimed_execution
+from repro.verify.dataflow import (
+    ExecutionDeadlock,
+    OrderViolation,
+    verify_retimed_execution,
+)
 
 __all__ = [
     "ResilienceError",
@@ -166,13 +170,12 @@ def _exec_ok(
         ok = verify_retimed_execution(g, retiming, bounds, mode=mode, schedule=schedule)
     except OrderViolation as exc:
         return False, f"execution order violation: {exc}"
+    except ExecutionDeadlock as exc:
+        if mode == "hyperplane":
+            return True, f"execution check skipped ({exc})"
+        return False, str(exc)
     except ValueError as exc:
-        text = str(exc)
-        if "deadlock" in text or "no fused body order" in text:
-            if mode == "hyperplane":
-                return True, f"execution check skipped ({text})"
-            return False, text
-        return False, text
+        return False, str(exc)
     if not ok:
         return False, f"{mode} execution does not match the order-free reference"
     return True, None

@@ -20,6 +20,7 @@ from repro.verify.equivalence import (
 from repro.verify.doall import runtime_doall_violations
 from repro.verify.dataflow import (
     DataflowSemantics,
+    ExecutionDeadlock,
     OrderViolation,
     execute_retimed,
     reference_values,
@@ -33,6 +34,7 @@ __all__ = [
     "runtime_doall_violations",
     "DataflowSemantics",
     "OrderViolation",
+    "ExecutionDeadlock",
     "reference_values",
     "execute_retimed",
     "verify_retimed_execution",

@@ -8,18 +8,20 @@ MLDG itself as a dataflow program:
                   vectors d in D_L(w, u) of value(w, x - d)
 
 with ``input(u, x)`` a deterministic pseudo-random function of ``(u, x)``
-(so every execution order sees identical inputs without materialising
-arrays), halo reads (``x - d`` outside the iteration box) drawing from the
-same input function, and ``scale_u = 1 / (indegree + 1)`` keeping values
-bounded.  Because each instance's value is a pure function of its
-dependencies, **any** dependence-respecting execution order produces
+(a keyed blake2b hash of ``(seed, u, x)``, computed once per semantics
+object, so every execution order sees identical inputs without
+materialising arrays), halo reads (``x - d`` outside the iteration box)
+drawing from the same input function, and ``scale_u = 1 / (indegree + 1)``
+keeping values bounded.  Because each instance's value is a pure function
+of its dependencies, **any** dependence-respecting execution order produces
 bit-identical values.
 
 Two evaluators are provided:
 
-* :func:`reference_values` -- demand-driven memoised evaluation (order
-  independent by construction; rejects deadlocked graphs, whose instance
-  dependencies are circular);
+* :func:`reference_values` -- demand-driven memoised evaluation with an
+  explicit stack (order independent by construction; rejects deadlocked
+  graphs, whose instance dependencies are circular, with
+  :class:`ExecutionDeadlock`);
 * :func:`execute_retimed` -- an *operational* evaluation in a concrete
   schedule of the retimed fused space: lexicographic (serial), rows with
   randomised inner order (DOALL claim), or wavefronts by a schedule vector
@@ -29,14 +31,18 @@ Two evaluators are provided:
 
 Together they give end-to-end verification for the n-D generalisations
 (``repro.fusion.multidim``) that the 2-D codegen pipeline gives the paper's
-algorithms.
+algorithms.  One check costs ``O(box * E)``: every in-box instance is
+evaluated once by each evaluator, reading each of its dependence vectors.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from functools import cached_property
+from operator import sub
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.graph.mldg import MLDG
 from repro.retiming import Retiming
@@ -44,6 +50,7 @@ from repro.vectors import IVec
 
 __all__ = [
     "OrderViolation",
+    "ExecutionDeadlock",
     "DataflowSemantics",
     "reference_values",
     "execute_retimed",
@@ -55,6 +62,12 @@ _Instance = Tuple[str, Tuple[int, ...]]
 
 class OrderViolation(Exception):
     """The requested execution order read a value before producing it."""
+
+
+class ExecutionDeadlock(ValueError):
+    """No execution order exists: the instances depend on each other in a
+    circle (a zero-weight dependence cycle), in the original graph or in
+    the retimed fused body."""
 
 
 class DataflowSemantics:
@@ -70,42 +83,58 @@ class DataflowSemantics:
         self.g = g
         self.bounds = tuple(int(b) for b in bounds)
         self.seed = seed
-        self._preds: Dict[str, List[Tuple[str, IVec]]] = {
+        # (predecessor, offset) pairs in a fixed order, offsets as plain ints
+        self._preds: Dict[str, List[Tuple[str, Tuple[int, ...]]]] = {
             node: sorted(
                 (
-                    (w, d)
+                    (w, tuple(d))
                     for w in set(g.predecessors(node))
                     for d in g.D(w, node)
                 ),
-                key=lambda wd: (g.program_index(wd[0]), tuple(wd[1])),
+                key=lambda wd: (g.program_index(wd[0]), wd[1]),
             )
             for node in g.nodes
         }
         self._scale: Dict[str, float] = {
             node: 1.0 / (len(self._preds[node]) + 1) for node in g.nodes
         }
+        self._inputs: Dict[_Instance, float] = {}
 
-    def in_box(self, x: Tuple[int, ...]) -> bool:
-        return all(0 <= c <= b for c, b in zip(x, self.bounds))
+    @cached_property
+    def _box(self) -> FrozenSet[Tuple[int, ...]]:
+        return frozenset(self.iteration_box())
 
     def input_value(self, node: str, x: Tuple[int, ...]) -> float:
-        """Deterministic pseudo-random input, identical across orders."""
-        key = f"{self.seed}:{node}:" + ",".join(map(str, x))
-        return random.Random(key).uniform(-1.0, 1.0)
+        """Deterministic pseudo-random input in [-1, 1), identical across
+        orders and processes; hashed once per ``(node, x)``."""
+        key = (node, x)
+        value = self._inputs.get(key)
+        if value is None:
+            text = f"{self.seed}:{node}:" + ",".join(map(str, x))
+            digest = hashlib.blake2b(text.encode(), digest_size=8).digest()
+            # top 53 bits -> [0, 2) exactly, then shift to [-1, 1)
+            value = (int.from_bytes(digest, "big") >> 11) * 2.0**-52 - 1.0
+            self._inputs[key] = value
+        return value
 
     def iteration_box(self) -> Iterable[Tuple[int, ...]]:
         return itertools.product(*(range(b + 1) for b in self.bounds))
 
     def combine(
-        self, node: str, x: Tuple[int, ...], fetch
+        self, node: str, x: Tuple[int, ...], values: Mapping[_Instance, float]
     ) -> float:
-        """One instance's value given a ``fetch(pred, x_pred)`` accessor."""
+        """One instance's value, reading in-box predecessors from ``values``.
+
+        A read of an in-box instance that ``values`` lacks raises
+        ``KeyError`` carrying that instance.
+        """
         total = self.input_value(node, x)
         scale = self._scale[node]
-        for (w, d) in self._preds[node]:
-            xp = tuple(c - dc for c, dc in zip(x, d))
-            if self.in_box(xp):
-                total += scale * fetch(w, xp)
+        box = self._box
+        for w, d in self._preds[node]:
+            xp = tuple(map(sub, x, d))
+            if xp in box:
+                total += scale * values[(w, xp)]
             else:
                 total += scale * self.input_value(w, xp)
         return total
@@ -116,8 +145,9 @@ def reference_values(
 ) -> Dict[_Instance, float]:
     """Demand-driven evaluation of every in-box instance (order-free).
 
-    Raises ``ValueError`` on instance-level dependence cycles (deadlocked
-    graphs) and on boxes larger than ``max_instances``.
+    Raises :class:`ExecutionDeadlock` on instance-level dependence cycles
+    (deadlocked graphs) and ``ValueError`` on boxes larger than
+    ``max_instances``.
     """
     g = sem.g
     count = g.num_nodes
@@ -128,34 +158,45 @@ def reference_values(
 
     values: Dict[_Instance, float] = {}
     in_progress: set = set()
+    preds, box, combine = sem._preds, sem._box, sem.combine
 
-    def eval_instance(node: str, x: Tuple[int, ...]) -> float:
-        key = (node, x)
-        if key in values:
-            return values[key]
-        if key in in_progress:
-            raise ValueError(
-                f"instance-level dependence cycle through {node}{x}: "
-                "graph is deadlocked (zero-weight cycle)"
-            )
-        in_progress.add(key)
-        # iterative deepening via recursion; Python's default limit is too
-        # small for long chains, so emulate with an explicit stack
-        value = sem.combine(node, x, eval_instance)
-        in_progress.discard(key)
-        values[key] = value
-        return value
-
-    import sys
-
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 20_000))
-    try:
-        for node in g.nodes:
-            for x in sem.iteration_box():
-                eval_instance(node, x)
-    finally:
-        sys.setrecursionlimit(old_limit)
+    # Visiting instances in the original program's order (outermost
+    # coordinate, then node, then the rest) finds a legal graph's
+    # dependencies already computed, so the stack below rarely grows.
+    rest = list(itertools.product(*(range(b + 1) for b in sem.bounds[1:])))
+    roots = (
+        (node, (i, *tail))
+        for i in range(sem.bounds[0] + 1)
+        for node in g.nodes
+        for tail in rest
+    )
+    for root in roots:
+        stack = [root]
+        while stack:
+            key = stack[-1]
+            if key in values:
+                stack.pop()
+                continue
+            try:
+                values[key] = combine(*key, values)
+            except KeyError:
+                # push the missing in-box dependencies; meeting one that is
+                # already waiting below closes a cycle
+                in_progress.add(key)
+                u, x = key
+                for w, d in preds[u]:
+                    xp = tuple(map(sub, x, d))
+                    dep = (w, xp)
+                    if xp in box and dep not in values:
+                        if dep in in_progress:
+                            raise ExecutionDeadlock(
+                                f"instance-level dependence cycle through "
+                                f"{w}{xp}: graph is deadlocked (zero-weight cycle)"
+                            )
+                        stack.append(dep)
+            else:
+                in_progress.discard(key)
+                stack.pop()
     return values
 
 
@@ -165,7 +206,7 @@ def _body_order(g: MLDG, retiming: Retiming) -> List[str]:
     try:
         return _zero_dependence_order(retiming.apply(g), list(g.nodes))
     except DeadlockError as exc:
-        raise ValueError(f"no fused body order exists: {exc}") from exc
+        raise ExecutionDeadlock(f"no fused body order exists: {exc}") from exc
 
 
 def execute_retimed(
@@ -223,21 +264,24 @@ def execute_retimed(
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
+    # the in-box instances each fused cell runs, in fused-body order
+    work: Dict[Tuple[int, ...], List[_Instance]] = {}
+    for node in order:
+        shift = tuple(retiming[node])
+        for x in sem.iteration_box():
+            work.setdefault(tuple(map(sub, x, shift)), []).append((node, x))
+
     values: Dict[_Instance, float] = {}
-
-    def fetch(w: str, xp: Tuple[int, ...]) -> float:
-        key = (w, xp)
-        if key not in values:
-            raise OrderViolation(
-                f"read of {w}{xp} before it was produced (invalid schedule)"
-            )
-        return values[key]
-
-    for cell in ordered:
-        for node in order:
-            x = tuple(c + rc for c, rc in zip(cell, retiming[node]))
-            if sem.in_box(x):
-                values[(node, x)] = sem.combine(node, x, fetch)
+    combine = sem.combine
+    try:
+        for cell in ordered:
+            for key in work.get(cell, ()):
+                values[key] = combine(*key, values)
+    except KeyError as exc:
+        w, xp = exc.args[0]
+        raise OrderViolation(
+            f"read of {w}{xp} before it was produced (invalid schedule)"
+        ) from None
     return values
 
 

@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from repro.fusion import Strategy, fuse
+from repro.fusion import Strategy, fuse, legal_fusion_retiming
 from repro.gallery import (
     figure2_mldg,
     figure8_mldg,
@@ -24,8 +24,11 @@ from repro.resilience import (
     fuse_program_resilient,
     fuse_resilient,
 )
+from repro.resilience import ladder
+from repro.resilience.ladder import _exec_ok
 from repro.resilience.partition import greedy_partition, validate_partition
 from repro.resilience.report import rung_from_label
+from repro.verify import ExecutionDeadlock
 
 GALLERY = {
     "fig2": figure2_mldg,
@@ -151,6 +154,45 @@ class TestDegradation:
             min_rung="partition",
         )
         assert res.rung is Rung.PARTITION
+
+
+class TestExecutionGateDeadlock:
+    """The gate tells a deadlock from other failures by exception type."""
+
+    def test_figure14_hyperplane_accepted_with_skip_note(self):
+        res = fuse_resilient(figure14_mldg())
+        assert res.rung is Rung.HYPERPLANE
+        assert any(n.startswith("execution check skipped") for n in res.notes)
+
+    @pytest.mark.parametrize("mode", ["serial", "doall"])
+    def test_serial_and_doall_claims_on_deadlock_rejected(self, mode):
+        g = figure14_mldg()
+        ok, note = _exec_ok(g, legal_fusion_retiming(g), (4, 4), mode=mode)
+        assert not ok
+        assert "deadlocked" in note
+
+    def test_verdict_follows_type_not_message(self, monkeypatch):
+        g = figure2_mldg()
+        r = fuse(g).retiming
+
+        def raising(exc):
+            def verify(*args, **kwargs):
+                raise exc
+
+            return verify
+
+        monkeypatch.setattr(
+            ladder, "verify_retimed_execution", raising(ExecutionDeadlock("reworded"))
+        )
+        assert _exec_ok(g, r, (4, 4), mode="hyperplane") == (
+            True,
+            "execution check skipped (reworded)",
+        )
+        assert not _exec_ok(g, r, (4, 4), mode="serial")[0]
+        monkeypatch.setattr(
+            ladder, "verify_retimed_execution", raising(ValueError("deadlock"))
+        )
+        assert _exec_ok(g, r, (4, 4), mode="hyperplane") == (False, "deadlock")
 
 
 class TestRungEnum:

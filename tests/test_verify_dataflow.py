@@ -5,6 +5,8 @@ the order-free reference semantics versus concrete (randomised) schedules.
 """
 
 import random
+import sys
+import threading
 
 import pytest
 
@@ -22,6 +24,7 @@ from repro.retiming import Retiming
 from repro.vectors import IVec
 from repro.verify import (
     DataflowSemantics,
+    ExecutionDeadlock,
     OrderViolation,
     execute_retimed,
     reference_values,
@@ -74,6 +77,88 @@ class TestSemantics:
         sem = DataflowSemantics(figure2_mldg(), (500, 500))
         with pytest.raises(ValueError, match="too large"):
             reference_values(sem, max_instances=1000)
+
+    def test_inputs_are_hashed_into_unit_interval(self):
+        sem = DataflowSemantics(figure2_mldg(), (4, 4), seed=3)
+        values = [sem.input_value(n, x) for n in "ABCD" for x in sem.iteration_box()]
+        assert all(-1.0 <= v < 1.0 for v in values)
+        assert len(set(values)) == len(values)
+
+
+class TestDeadlockSignal:
+    def test_reference_deadlock_is_typed(self):
+        sem = DataflowSemantics(figure14_mldg(), (4, 4))
+        with pytest.raises(ExecutionDeadlock):
+            reference_values(sem)
+
+    def test_zero_self_loop_is_a_deadlock(self):
+        g = mldg_from_table({("A", "A"): [(0, 0)]}, nodes=["A"])
+        with pytest.raises(ExecutionDeadlock, match="cycle"):
+            reference_values(DataflowSemantics(g, (2, 2)))
+
+    def test_missing_body_order_is_typed(self):
+        """A zero-weight cycle whose reads all leave the box has a reference,
+        but retimed to zero vectors it leaves no fused body order."""
+        g = mldg_from_table(
+            {("A", "B"): [(0, 5)], ("B", "A"): [(0, -5)]}, nodes=["A", "B"]
+        )
+        sem = DataflowSemantics(g, (3, 3))
+        assert len(reference_values(sem)) == 32
+        r = Retiming({"B": IVec(0, 5)}, dim=2)
+        with pytest.raises(ExecutionDeadlock, match="no fused body order"):
+            execute_retimed(sem, r)
+
+
+class TestExplicitStack:
+    """The reference evaluates with its own stack and never touches the
+    process-wide recursion limit."""
+
+    @staticmethod
+    def _forbid_recursion_limit(monkeypatch):
+        def refuse(limit):
+            raise AssertionError("reference_values changed the recursion limit")
+
+        monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+
+    def test_long_chain_leaves_recursion_limit_alone(self, monkeypatch):
+        before = sys.getrecursionlimit()
+        self._forbid_recursion_limit(monkeypatch)
+        g = mldg_from_table({("A", "A"): [(0, 1)]}, nodes=["A"])
+        values = reference_values(DataflowSemantics(g, (0, 3000)))
+        assert len(values) == 3001
+        assert sys.getrecursionlimit() == before
+
+    def test_backward_chain_deeper_than_the_default_limit(self, monkeypatch):
+        """Each instance reads the *next* one, so evaluating (0, 0) first
+        needs a 3000-deep dependency chain; values follow the recurrence."""
+        self._forbid_recursion_limit(monkeypatch)
+        g = mldg_from_table({("A", "A"): [(0, -1)]}, nodes=["A"])
+        sem = DataflowSemantics(g, (0, 3000), seed=5)
+        values = reference_values(sem)
+        expected = sem.input_value("A", (0, 3000)) + 0.5 * sem.input_value("A", (0, 3001))
+        for j in range(3000, -1, -1):
+            assert values[("A", (0, j))] == expected
+            expected = sem.input_value("A", (0, j - 1)) + 0.5 * expected
+
+    def test_concurrent_references_keep_the_limit(self):
+        before = sys.getrecursionlimit()
+        chain = mldg_from_table({("A", "A"): [(0, -1)]}, nodes=["A"])
+        errors = []
+
+        def work(length):
+            try:
+                reference_values(DataflowSemantics(chain, (0, length)))
+            except Exception as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(n,)) for n in (40, 700) * 2]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+        assert not errors
+        assert sys.getrecursionlimit() == before
 
 
 class TestTwoDimensional:
