@@ -154,7 +154,12 @@ class PruneMLDGPass(Pass):
                 "edge pruning skipped: fault injection is active"
             )
             return
-        pruned_graph, result = prune_mldg(artifact.nest, artifact.mldg)
+        pruned_graph, result = prune_mldg(
+            artifact.nest,
+            artifact.mldg,
+            records=artifact.records,
+            report=artifact.analysis,
+        )
         artifact.prune = result
         if not result.pruned:
             return

@@ -22,16 +22,18 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 from repro.codegen import apply_fusion
 from repro.codegen.fused import DeadlockError, FusedProgram
 from repro.depend import extract_mldg
+from repro.depend.extract import DependenceRecord
 from repro.fusion.driver import FusionResult, Strategy, fuse
 from repro.fusion.errors import FusionError, IllegalMLDGError
 from repro.graph.legality import check_legal
 from repro.graph.mldg import MLDG
 from repro.lint.diagnostics import Diagnostic
-from repro.lint.engine import diagnostics_from_legality, lint_nest
+from repro.lint.engine import diagnostics_from_legality, nest_context, run_rules
 from repro.loopir import LoopNest, parse_program
-from repro.loopir.validate import ValidationError, model_findings
+from repro.loopir.validate import ModelFinding, ValidationError, model_findings
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
+    from repro.analysis.engine import AnalysisReport
     from repro.analysis.prune import PruneResult
     from repro.core.session import Session
     from repro.resilience.ladder import ResilientFusionResult
@@ -72,6 +74,11 @@ class Artifact:
     resilient: Optional["ResilientFusionResult"] = None
     partitioned: Optional[LoopNest] = None
     prune: Optional["PruneResult"] = None
+    #: validate's model findings, lint's dependence table and analysis
+    #: report: computed once, read by the later passes
+    model_findings: Optional[List[ModelFinding]] = None
+    records: Optional[List[DependenceRecord]] = None
+    analysis: Optional["AnalysisReport"] = None
     notes: List[str] = field(default_factory=list)
     diagnostics: List[Diagnostic] = field(default_factory=list)
 
@@ -115,33 +122,45 @@ class ValidatePass(Pass):
 
     def run(self, artifact: Artifact, session: "Session") -> None:
         assert artifact.nest is not None
-        findings = model_findings(artifact.nest)
+        findings = artifact.model_findings = model_findings(artifact.nest)
         if findings:
             raise ValidationError([f.message for f in findings], findings=findings)
 
 
 class LintPass(Pass):
-    """Non-blocking static diagnostics; ride along on the artifact."""
+    """Non-blocking static diagnostics; ride along on the artifact.
+
+    Reuses validate's model findings and leaves the analyses the rules
+    computed -- the dependence table, the MLDG (with its decided LLOFRA
+    system) and the analysis report -- for extract, prune and legality.
+    """
 
     name = "lint"
     span_name = "pipeline.lint"
 
     def run(self, artifact: Artifact, session: "Session") -> None:
         assert artifact.nest is not None
-        result = lint_nest(artifact.nest, source=artifact.source)
+        ctx = nest_context(
+            artifact.nest, source=artifact.source, findings=artifact.model_findings
+        )
+        result = run_rules(ctx)
         artifact.diagnostics = result.diagnostics
         session.extend_diagnostics(result.diagnostics)
+        artifact.records = ctx.records
+        artifact.mldg = ctx.mldg
+        artifact.analysis = ctx.analysis()
 
 
 class ExtractMLDGPass(Pass):
-    """Dependence extraction: program -> MLDG."""
+    """Dependence extraction: program -> MLDG (lint's, when it built one)."""
 
     name = "extract-mldg"
     span_name = "pipeline.extract"
 
     def run(self, artifact: Artifact, session: "Session") -> None:
         assert artifact.nest is not None
-        artifact.mldg = extract_mldg(artifact.nest, check=False)
+        if artifact.mldg is None:
+            artifact.mldg = extract_mldg(artifact.nest, check=False)
 
 
 class LegalityPass(Pass):

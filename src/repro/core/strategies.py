@@ -26,7 +26,8 @@ from repro.graph.analysis import is_acyclic
 from repro.graph.legality import is_fusion_legal
 from repro.graph.mldg import MLDG
 from repro.resilience.budget import Budget
-from repro.retiming import ROW_SCHEDULE, Retiming
+from repro.retiming import Retiming
+from repro.vectors import IVec
 
 __all__ = [
     "StrategyPass",
@@ -82,7 +83,7 @@ class DirectPass(StrategyPass):
             g,
             Retiming.zero(dim=g.dim),
             self.name,
-            schedule=ROW_SCHEDULE,
+            schedule=IVec.unit(g.dim, 0),
             hyperplane=None,
             notes=["no retiming applied"],
         )
@@ -97,7 +98,7 @@ class LegalOnlyPass(StrategyPass):
         self, g: MLDG, make_result: MakeResult, *, budget: Optional[Budget] = None
     ) -> object:
         r = legal_fusion_retiming(g, check=False, budget=budget)
-        return make_result(g, r, self.name, schedule=ROW_SCHEDULE, hyperplane=None)
+        return make_result(g, r, self.name, schedule=IVec.unit(g.dim, 0), hyperplane=None)
 
 
 class AcyclicPass(StrategyPass):
@@ -112,7 +113,7 @@ class AcyclicPass(StrategyPass):
         self, g: MLDG, make_result: MakeResult, *, budget: Optional[Budget] = None
     ) -> object:
         r = acyclic_parallel_retiming(g, check=False, budget=budget)
-        return make_result(g, r, self.name, schedule=ROW_SCHEDULE, hyperplane=None)
+        return make_result(g, r, self.name, schedule=IVec.unit(g.dim, 0), hyperplane=None)
 
 
 class CyclicPass(StrategyPass):
@@ -124,7 +125,7 @@ class CyclicPass(StrategyPass):
         self, g: MLDG, make_result: MakeResult, *, budget: Optional[Budget] = None
     ) -> object:
         r = cyclic_parallel_retiming(g, check=False, budget=budget)
-        return make_result(g, r, self.name, schedule=ROW_SCHEDULE, hyperplane=None)
+        return make_result(g, r, self.name, schedule=IVec.unit(g.dim, 0), hyperplane=None)
 
 
 class HyperplanePass(StrategyPass):

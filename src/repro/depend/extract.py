@@ -126,15 +126,24 @@ def records_by_edge(
     return index
 
 
-def extract_mldg(nest: LoopNest, *, check: bool = True) -> MLDG:
+def extract_mldg(
+    nest: LoopNest,
+    *,
+    check: bool = True,
+    records: Optional[List[DependenceRecord]] = None,
+) -> MLDG:
     """Build the MLDG of a loop nest (Definition 2.2).
 
     Nodes appear in program order (one per DOALL loop, including loops with
-    no dependencies); edges accumulate the full ``D_L`` vector sets.
+    no dependencies); edges accumulate the full ``D_L`` vector sets.  Pass
+    ``records`` (the nest's :func:`dependence_table`) to build the graph
+    from a table the caller already has; ``check`` then does nothing.
     """
+    if records is None:
+        records = dependence_table(nest, check=check)
     g = MLDG(dim=nest.dim)
     for loop in nest.loops:
         g.add_node(loop.label)
-    for rec in dependence_table(nest, check=check):
+    for rec in records:
         g.add_dependence(rec.src, rec.dst, rec.vector)
     return g

@@ -12,16 +12,18 @@ feasible because every cycle of a legal MLDG has weight lexicographically
 greater than ``(0, 0)``.
 
 Complexity: ``O(|V| * |E|)`` vector operations -- one Bellman-Ford run.
+That run is :func:`repro.graph.legality.llofra_outcome`, the same solve
+that decides :func:`~repro.graph.legality.check_legal`; its outcome stays
+on the graph, so deciding legality and then retiming solves once.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.constraints import InfeasibleSystemError, VectorConstraintSystem
 from repro.constraints.constraint_graph import ConstraintGraph
 from repro.fusion.errors import IllegalMLDGError
-from repro.graph.legality import check_legal
+from repro.graph.legality import check_legal, llofra_outcome, llofra_system
 from repro.graph.mldg import MLDG
 from repro.resilience.budget import Budget
 from repro.retiming import Retiming
@@ -29,16 +31,9 @@ from repro.retiming import Retiming
 __all__ = ["legal_fusion_retiming", "llofra", "llofra_constraint_graph"]
 
 
-def _llofra_system(g: MLDG) -> VectorConstraintSystem:
-    system = VectorConstraintSystem(g.nodes, dim=g.dim)
-    for e in g.edges():
-        system.add_leq(e.src, e.dst, e.delta)
-    return system
-
-
 def llofra_constraint_graph(g: MLDG) -> ConstraintGraph:
     """The LLOFRA constraint graph (Figure 5 shape), for inspection."""
-    return _llofra_system(g).constraint_graph()
+    return llofra_system(g).constraint_graph()
 
 
 def legal_fusion_retiming(
@@ -57,7 +52,9 @@ def legal_fusion_retiming(
     budget:
         Optional :class:`~repro.resilience.budget.Budget` bounding the
         Bellman-Ford solve; exhaustion raises
-        :class:`~repro.resilience.budget.BudgetExceededError`.
+        :class:`~repro.resilience.budget.BudgetExceededError`.  A
+        work-limiting budget never reads the graph's kept outcome, so it
+        always measures a real solve.
 
     Returns the retiming whose values are the shortest-path distances from
     ``v_0`` -- exactly the function the paper reports in Figure 6
@@ -71,15 +68,14 @@ def legal_fusion_retiming(
             raise IllegalMLDGError(
                 report.violations, diagnostics=diagnostics_from_legality(report)
             )
-    try:
-        solution = _llofra_system(g).solve(budget=budget)
-    except InfeasibleSystemError as exc:
+    outcome = llofra_outcome(g, budget=budget)
+    if outcome.solution is None:
         # unreachable for structurally legal graphs (Theorem 3.2); reachable
         # when check=False on an illegal graph
         raise IllegalMLDGError(
-            [f"LLOFRA system infeasible; negative cycle {exc.cycle}"]
-        ) from exc
-    return Retiming(solution, dim=g.dim)
+            [f"LLOFRA system infeasible; negative cycle {list(outcome.cycle or ())}"]
+        )
+    return Retiming(outcome.solution, dim=g.dim)
 
 
 #: Paper-style alias.

@@ -61,13 +61,14 @@ of the fused loop would precede the producer iteration).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Mapping, Optional, Tuple
 
 import networkx as nx
 
 from repro.constraints import InfeasibleSystemError, VectorConstraintSystem
 from repro.graph.edges import DependenceEdge
 from repro.graph.mldg import MLDG
+from repro.resilience.budget import Budget
 from repro.vectors import IVec, lex_nonnegative
 
 __all__ = [
@@ -75,6 +76,9 @@ __all__ = [
     "classify_vector",
     "LegalityFinding",
     "LegalityReport",
+    "LLOFRAOutcome",
+    "llofra_system",
+    "llofra_outcome",
     "check_legal",
     "is_legal",
     "is_deadlock_free",
@@ -147,13 +151,53 @@ class LegalityReport:
         return self.legal
 
 
-def _llofra_feasible_retiming(g: MLDG):
-    """Solve the LLOFRA system directly (local copy to avoid an import cycle
-    with :mod:`repro.fusion.legal`, which depends on this module)."""
+@dataclass(frozen=True)
+class LLOFRAOutcome:
+    """The decided LLOFRA system of one graph (Theorem 2.3).
+
+    Exactly one field is set: ``solution`` (node -> retiming vector, the
+    shortest-path distances from ``v_0``; shared, so never mutate it) when
+    the system is feasible, ``cycle`` (the negative-cycle certificate) when
+    it is not.
+    """
+
+    solution: Optional[Mapping[str, IVec]] = None
+    cycle: Optional[Tuple[str, ...]] = None
+
+
+def llofra_system(g: MLDG) -> VectorConstraintSystem:
+    """The LLOFRA difference-constraint system ``r(v) - r(u) <= delta_L(e)``."""
     system = VectorConstraintSystem(g.nodes, dim=g.dim)
     for e in g.edges():
         system.add_leq(e.src, e.dst, e.delta)
-    return system.solve()
+    return system
+
+
+def llofra_outcome(g: MLDG, *, budget: Optional[Budget] = None) -> LLOFRAOutcome:
+    """Decide the LLOFRA system of ``g`` with one exact Bellman-Ford solve.
+
+    The outcome is kept on the graph and every later call returns it
+    until a mutator changes the graph.  The graph is read and written
+    only when :func:`repro.perf.memo.memoization_applicable` holds for
+    ``budget``: a work-limiting budget, an active fault injector or
+    ``REPRO_FUSE_MEMO=0`` solves every time.  A solve that runs out of
+    ``budget`` raises :class:`~repro.resilience.budget.BudgetExceededError`
+    and leaves nothing behind.
+    """
+    from repro.perf.memo import memoization_applicable
+
+    keep = memoization_applicable(budget)
+    if keep and g._llofra is not None:
+        return g._llofra
+    try:
+        solution = llofra_system(g).solve(budget=budget)
+    except InfeasibleSystemError as exc:
+        outcome = LLOFRAOutcome(cycle=tuple(map(str, exc.cycle)))
+    else:
+        outcome = LLOFRAOutcome(solution=solution)
+    if keep:
+        g._llofra = outcome
+    return outcome
 
 
 def check_legal(g: MLDG) -> LegalityReport:
@@ -161,19 +205,18 @@ def check_legal(g: MLDG) -> LegalityReport:
 
     Decided in polynomial time, without cycle enumeration: the condition is
     exactly the feasibility of the LLOFRA difference-constraint system
-    (Theorem 2.3).  On failure the report carries the negative-cycle
-    certificate.
+    (Theorem 2.3), read from :func:`llofra_outcome`.  On failure the report
+    carries the negative-cycle certificate.
     """
+    cycle = llofra_outcome(g).cycle
     findings: List[LegalityFinding] = []
-    try:
-        _llofra_feasible_retiming(g)
-    except InfeasibleSystemError as exc:
-        cyc = " -> ".join(map(str, exc.cycle))
+    if cycle is not None:
         findings.append(
             LegalityFinding(
                 kind="negative-cycle",
-                message=f"dependence cycle with lexicographically negative weight: {cyc}",
-                cycle=tuple(map(str, exc.cycle)),
+                message="dependence cycle with lexicographically negative weight: "
+                + " -> ".join(cycle),
+                cycle=cycle,
             )
         )
     return LegalityReport(
@@ -195,14 +238,13 @@ def zero_weight_cycle(g: MLDG) -> Optional[List[str]]:
     cycles are instance-level deadlocks; see the module docstring for why
     the paper's Figure 14 nonetheless contains one.
     """
-    try:
-        solution = _llofra_feasible_retiming(g)
-    except InfeasibleSystemError as exc:
+    outcome = llofra_outcome(g)
+    if outcome.solution is None:
         raise ValueError(
-            f"graph is not legal (negative cycle {exc.cycle}); "
+            f"graph is not legal (negative cycle {list(outcome.cycle or ())}); "
             "zero_weight_cycle is only meaningful on legal MLDGs"
-        ) from exc
-    retimed = g.retimed(solution)
+        )
+    retimed = g.retimed(outcome.solution)
     zero = IVec.zero(g.dim)
     zero_graph = nx.DiGraph()
     zero_graph.add_nodes_from(g.nodes)

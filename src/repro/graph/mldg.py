@@ -11,12 +11,15 @@ loops A, B, C, ... in order.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import networkx as nx
 
 from repro.graph.edges import DependenceEdge
 from repro.vectors import IVec
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.graph.legality import LLOFRAOutcome
 
 __all__ = ["MLDG"]
 
@@ -33,6 +36,11 @@ class MLDG:
     :meth:`add_dependence`).  Dependence vectors accumulate per ordered node
     pair; the summary :math:`\\delta_L` and hard-edge flags are derived.
 
+    Once legality has been decided, the graph also holds its LLOFRA
+    outcome (:func:`repro.graph.legality.llofra_outcome`).  Every mutator
+    clears it; :meth:`copy`, :meth:`retimed` and :meth:`restricted_to`
+    return graphs without one.
+
     >>> g = MLDG(dim=2)
     >>> g.add_dependence("A", "B", IVec(1, 1), IVec(2, 1))
     >>> g.delta("A", "B")
@@ -46,6 +54,9 @@ class MLDG:
         self._nodes: List[str] = []
         self._node_index: Dict[str, int] = {}
         self._edges: Dict[Tuple[str, str], frozenset] = {}
+        # The graph's LLOFRA outcome, read and written only by
+        # repro.graph.legality.llofra_outcome; every mutator clears it.
+        self._llofra: Optional["LLOFRAOutcome"] = None
 
     # ------------------------------------------------------------------ #
     # construction
@@ -58,6 +69,7 @@ class MLDG:
         if name not in self._node_index:
             self._node_index[name] = len(self._nodes)
             self._nodes.append(name)
+            self._llofra = None
 
     def add_dependence(self, src: str, dst: str, *vectors: IVec) -> None:
         """Record loop dependence vectors from ``src`` to ``dst``.
@@ -78,10 +90,12 @@ class MLDG:
         key = (src, dst)
         existing = self._edges.get(key, frozenset())
         self._edges[key] = existing | frozenset(vectors)
+        self._llofra = None
 
     def remove_edge(self, src: str, dst: str) -> None:
         """Delete the edge and all its vectors; raises ``KeyError`` if absent."""
         del self._edges[(src, dst)]
+        self._llofra = None
 
     def remove_dependence(self, src: str, dst: str, *vectors: IVec) -> None:
         """Remove individual vectors from an edge (the edge-pruning API).
@@ -106,6 +120,7 @@ class MLDG:
             self._edges[key] = remaining
         else:
             del self._edges[key]
+        self._llofra = None
 
     # ------------------------------------------------------------------ #
     # inspection

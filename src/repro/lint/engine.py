@@ -9,6 +9,9 @@ Entry points:
   available when the nest came from the parser).
 * :func:`lint_mldg` -- an abstract dependence graph with no source program
   (gallery figures, random graphs); only graph-layer rules fire.
+* :func:`nest_context` + :func:`run_rules` -- the two halves of
+  :func:`lint_nest`, for a caller that keeps the context's dependence
+  table, MLDG and analysis report (the compile pipeline's lint pass).
 
 The :class:`LintContext` caches the shared expensive artifacts (model
 findings, the dependence table, the legality report) so each rule stays a
@@ -38,6 +41,8 @@ __all__ = [
     "lint_source",
     "lint_nest",
     "lint_mldg",
+    "nest_context",
+    "run_rules",
     "diagnostics_from_legality",
     "diagnostics_from_model_findings",
 ]
@@ -133,13 +138,39 @@ def _apply_suppressions(
     return kept
 
 
-def _run(ctx: LintContext, suppressions: Optional[Dict[int, Set[str]]] = None) -> LintResult:
+def run_rules(ctx: LintContext) -> LintResult:
+    """Run every registered rule over ``ctx``, honoring the suppression
+    comments of ``ctx.source``."""
     diagnostics: List[Diagnostic] = []
     for r in all_rules():
         diagnostics.extend(r.run(ctx))
-    diagnostics = _apply_suppressions(diagnostics, suppressions or {})
+    suppressions = collect_lint_suppressions(ctx.source) if ctx.source else {}
+    diagnostics = _apply_suppressions(diagnostics, suppressions)
     diagnostics.sort(key=_sort_key)
     return LintResult(diagnostics=diagnostics, path=ctx.path)
+
+
+def nest_context(
+    nest: LoopNest,
+    *,
+    path: str = "<nest>",
+    source: Optional[str] = None,
+    findings: Optional[List[ModelFinding]] = None,
+) -> LintContext:
+    """The lint context of a nest, with its dependence table and MLDG.
+
+    ``findings`` are the nest's :func:`model_findings` when the caller has
+    already computed them.  When no statement-level model violation
+    prevents it, the dependence table is built once and the MLDG is
+    extracted from it, so the graph-layer rules run too.
+    """
+    ctx = LintContext(nest=nest, path=path, source=source, _model=findings)
+    # Multiple writers make the dependence table ambiguous; graph extraction
+    # is only meaningful without LF101 findings.
+    if not any(f.code == "LF101" for f in ctx.model_findings()):
+        ctx.records = dependence_table(nest, check=False)
+        ctx.mldg = extract_mldg(nest, records=ctx.records)
+    return ctx
 
 
 def lint_nest(
@@ -154,15 +185,7 @@ def lint_nest(
     extracted so the graph-layer rules run too.  ``source`` (when the nest
     came from DSL text) enables suppression comments.
     """
-    ctx = LintContext(nest=nest, path=path, source=source)
-    findings = ctx.model_findings()
-    # Multiple writers make the dependence table ambiguous; graph extraction
-    # is only meaningful without LF101 findings.
-    if not any(f.code == "LF101" for f in findings):
-        ctx.records = dependence_table(nest, check=False)
-        ctx.mldg = extract_mldg(nest, check=False)
-    suppressions = collect_lint_suppressions(source) if source else None
-    return _run(ctx, suppressions)
+    return run_rules(nest_context(nest, path=path, source=source))
 
 
 def lint_source(source: str, *, path: str = "<input>") -> LintResult:
@@ -183,7 +206,7 @@ def lint_source(source: str, *, path: str = "<input>") -> LintResult:
 
 def lint_mldg(g: MLDG, *, path: str = "<mldg>") -> LintResult:
     """Lint an abstract MLDG (graph-layer rules only)."""
-    return _run(LintContext(mldg=g, path=path))
+    return run_rules(LintContext(mldg=g, path=path))
 
 
 # ---------------------------------------------------------------------- #

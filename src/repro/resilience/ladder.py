@@ -59,7 +59,7 @@ from repro.resilience.report import (
     rung_diagnostic,
     rung_from_label,
 )
-from repro.retiming import ROW_SCHEDULE, Retiming, hyperplane_for_schedule
+from repro.retiming import Retiming, hyperplane_for_schedule
 from repro.retiming.verify import verify_retiming
 from repro.vectors import IVec
 from repro.verify.dataflow import (
@@ -156,6 +156,7 @@ def _exec_ok(
     *,
     mode: str,
     schedule: Optional[IVec] = None,
+    retimed: Optional[MLDG] = None,
 ) -> Tuple[bool, Optional[str]]:
     """Operational execution check, folded to (accepted, note).
 
@@ -164,10 +165,13 @@ def _exec_ok(
     for the hyperplane claim: the paper's Figure 14 is exactly a legal
     wavefront fusion whose row-serial execution deadlocks, so there the
     graph-level guarantees (cycle preservation, legality, schedule
-    strictness) stand alone and we accept with a note.
+    strictness) stand alone and we accept with a note.  ``retimed`` is the
+    certificate's ``retiming.apply(g)``, reused for the fused-body order.
     """
     try:
-        ok = verify_retimed_execution(g, retiming, bounds, mode=mode, schedule=schedule)
+        ok = verify_retimed_execution(
+            g, retiming, bounds, mode=mode, schedule=schedule, retimed=retimed
+        )
     except OrderViolation as exc:
         return False, f"execution order violation: {exc}"
     except ExecutionDeadlock as exc:
@@ -493,7 +497,7 @@ def _run_rung(
             )
             notes.append("Algorithm 4 (cyclic DOALL fusion)")
         r = faults.pass_through("retiming", r)
-        schedule = ROW_SCHEDULE
+        schedule = IVec.unit(g.dim, 0)
     elif rung is Rung.HYPERPLANE:
         def _hyperplane() -> Tuple[Retiming, IVec]:
             hp = hyperplane_parallel_fusion(g_alg, budget=budget)
@@ -541,7 +545,9 @@ def _run_rung(
             Rung.HYPERPLANE: "hyperplane",
             Rung.LEGAL_FUSION: "serial",
         }[rung]
-        ok, note = _exec_ok(g, r, box, mode=mode, schedule=schedule)
+        ok, note = _exec_ok(
+            g, r, box, mode=mode, schedule=schedule, retimed=verification.retimed
+        )
         if not ok:
             raise RungRejected(note or "execution check failed")
         if note:

@@ -31,7 +31,8 @@ __all__ = [
     "doall_hyperplane",
 ]
 
-#: The schedule of a row-by-row DOALL execution (Property 4.1).
+#: The schedule of a row-by-row DOALL execution of a 2-D nest (Property
+#: 4.1).  In ``n`` dimensions the row schedule is ``IVec.unit(n, 0)``.
 ROW_SCHEDULE = IVec(1, 0)
 
 

@@ -200,11 +200,14 @@ def reference_values(
     return values
 
 
-def _body_order(g: MLDG, retiming: Retiming) -> List[str]:
+def _body_order(
+    g: MLDG, retiming: Retiming, retimed: Optional[MLDG] = None
+) -> List[str]:
     from repro.codegen.fused import DeadlockError, _zero_dependence_order
 
+    gr = retimed if retimed is not None else retiming.apply(g)
     try:
-        return _zero_dependence_order(retiming.apply(g), list(g.nodes))
+        return _zero_dependence_order(gr, list(g.nodes))
     except DeadlockError as exc:
         raise ExecutionDeadlock(f"no fused body order exists: {exc}") from exc
 
@@ -216,6 +219,7 @@ def execute_retimed(
     mode: str = "serial",
     schedule: Optional[IVec] = None,
     order_seed: int = 7,
+    retimed: Optional[MLDG] = None,
 ) -> Dict[_Instance, float]:
     """Operationally execute the retimed fused space in a concrete order.
 
@@ -223,10 +227,12 @@ def execute_retimed(
     (outermost fused coordinate ascending, remaining coordinates randomly
     permuted per row -- valid iff the fusion is DOALL across the inner
     dimensions), ``"hyperplane"`` (levels ``t = s . x`` ascending, cells
-    randomly permuted within a level).
+    randomly permuted within a level).  ``retimed`` is ``retiming.apply(sem.g)``
+    when the caller already holds it (the retiming certificate builds it),
+    which spares the fused-body order a second apply.
     """
     g = sem.g
-    order = _body_order(g, retiming)
+    order = _body_order(g, retiming, retimed)
     rng = random.Random(order_seed)
 
     # fused cell c executes node u's original instance c + r(u); the fused
@@ -294,12 +300,21 @@ def verify_retimed_execution(
     schedule: Optional[IVec] = None,
     seed: int = 0,
     order_seed: int = 7,
+    retimed: Optional[MLDG] = None,
 ) -> bool:
     """True iff the operational execution matches the order-free reference
-    bit-for-bit (and completes without :class:`OrderViolation`)."""
+    bit-for-bit (and completes without :class:`OrderViolation`).
+
+    ``retimed``, when given, must be ``retiming.apply(g)``; see
+    :func:`execute_retimed`."""
     sem = DataflowSemantics(g, bounds, seed=seed)
     reference = reference_values(sem)
     actual = execute_retimed(
-        sem, retiming, mode=mode, schedule=schedule, order_seed=order_seed
+        sem,
+        retiming,
+        mode=mode,
+        schedule=schedule,
+        order_seed=order_seed,
+        retimed=retimed,
     )
     return reference == actual
